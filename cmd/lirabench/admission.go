@@ -48,7 +48,7 @@ type admissionReport struct {
 	RecoveryTick   int                   `json:"recovery_tick"`  // first healthy tick after the peak
 	RecoveryTicks  int                   `json:"recovery_ticks"` // ticks from end of overload to healthy
 
-	PreShed        int64   `json:"pre_shed"`        // records rejected ahead of the rings
+	PreShed        int64   `json:"pre_shed"`        // records rejected ahead of the queue
 	QueueShed      int64   `json:"queue_shed"`      // records shed by ring overflow
 	DegradedEvals  int64   `json:"degraded_evals"`  // prediction-only Evaluate rounds
 	JournalRecords int     `json:"journal_records"` // admission records journaled

@@ -10,14 +10,15 @@
 //	      -http 127.0.0.1:7401
 //
 // With -shards K (K > 1) the daemon deploys the spatially sharded
-// evaluation engine: position updates enqueue onto per-shard lock-free
-// rings without touching the server mutex, and /metrics grows
-// lira_shard<N>_* gauges. Query results are byte-identical at any K.
+// evaluation engine: updates are admitted through the same input queue of
+// size -queue as at K = 1 and routed to their band as they drain, and
+// /metrics grows lira_shard<N>_* gauges. Query results and overload
+// behaviour are byte-identical at any K.
 //
 // With -admission the daemon walks the health-driven degradation
 // ladder (healthy → warning → shed → critical) each control tick:
 // warning tightens the effective z, shed pre-rejects the oldest
-// fraction of ingest ahead of the rings and defers index compaction,
+// fraction of ingest ahead of the queue and defers index compaction,
 // and critical answers queries from prediction alone. The ladder state
 // appears in /debug/lira under "admission" and as lira_admission_*
 // metrics; every rung change is journaled.
@@ -111,7 +112,7 @@ func parseFlags() options {
 	flag.DurationVar(&o.adapt, "adapt", 30*time.Second, "adaptation period")
 	flag.DurationVar(&o.eval, "eval", 2*time.Second, "query evaluation period")
 	flag.Float64Var(&o.stations, "station-radius", 0, "uniform station radius; 0 = one station")
-	flag.IntVar(&o.shards, "shards", 1, "spatial shard count K (1 = unsharded engine; >1 enables lock-free sharded ingest)")
+	flag.IntVar(&o.shards, "shards", 1, "spatial shard count K (1 = unsharded engine; >1 shards evaluation over K bands)")
 	flag.BoolVar(&o.admission, "admission", false, "enable the health-driven admission ladder (default thresholds)")
 	flag.StringVar(&o.httpAddr, "http", "", "introspection listen address (/metrics, /debug/lira); empty disables")
 	flag.BoolVar(&o.pprof, "pprof", false, "also serve net/http/pprof on the -http address")

@@ -13,7 +13,7 @@
 //   - warning tightens the effective throttle fraction handed to the
 //     control plane (Plane.SetZClamp ∘ Controller.ClampZ);
 //   - shed additionally switches queue admission to oldest-first bulk
-//     rejection ahead of the ingest rings (AdmitN) and defers
+//     rejection ahead of the input queue (AdmitN) and defers
 //     debt-triggered index compaction (Actions.SetCompactionDeferred);
 //   - critical forces z to the floor and answers Evaluate from prediction
 //     only (Actions.SetDegradedEval), degrading accuracy instead of
@@ -54,7 +54,7 @@ const (
 	// Warning tightens the effective throttle fraction (ClampZ).
 	Warning
 	// Shed additionally pre-rejects ingest oldest-first ahead of the
-	// rings (AdmitN) and defers index compaction.
+	// queue (AdmitN) and defers index compaction.
 	Shed
 	// Critical forces z to the floor and switches the engine to
 	// prediction-only evaluation.
@@ -174,7 +174,7 @@ type Config struct {
 	ZWarn, ZShed, ZFloor float64
 
 	// ShedAdmit and CriticalAdmit are the ingest fractions admitted ahead
-	// of the rings at the shed and critical rungs (oldest-first bulk
+	// of the queue at the shed and critical rungs (oldest-first bulk
 	// rejection keeps the newest admitted·n records of every batch).
 	// Zeros select 0.5 and 0.25.
 	ShedAdmit, CriticalAdmit float64
@@ -429,7 +429,7 @@ func (c *Controller) AdmitN(n int) int {
 }
 
 // PreShed returns the cumulative count of records rejected ahead of the
-// rings by AdmitN.
+// queue by AdmitN.
 func (c *Controller) PreShed() int64 { return c.offered.Load() - c.admitted.Load() }
 
 // View is a point-in-time snapshot of the ladder for introspection

@@ -20,7 +20,6 @@ import (
 	"lira/internal/motion"
 	"lira/internal/par"
 	"lira/internal/partition"
-	"lira/internal/queue"
 	"lira/internal/spans"
 	"lira/internal/statgrid"
 	"lira/internal/telemetry"
@@ -73,10 +72,11 @@ type Config struct {
 
 // Server is a mobile CQ server.
 type Server struct {
+	Intake
+
 	cfg     Config
 	table   *motion.Table
 	grid    *statgrid.Grid
-	input   *queue.Bounded[Update]
 	index   *cqindex.Grid
 	plane   *controlplane.Plane
 	queries []geo.Rect
@@ -118,11 +118,9 @@ type serverTelemetry struct {
 	predictHist *telemetry.Histogram // lira_evaluate_predict_seconds
 	scanHist    *telemetry.Histogram // lira_evaluate_scan_seconds
 
-	queueDepth  *telemetry.Gauge // lira_queue_depth
 	gridNodes   *telemetry.Gauge // lira_statgrid_nodes
 	gridQueries *telemetry.Gauge // lira_statgrid_queries
 
-	dropped       *telemetry.Counter // lira_queue_dropped_total
 	applied       *telemetry.Counter // lira_updates_applied_total
 	evals         *telemetry.Counter // lira_evaluations_total
 	degradedEvals *telemetry.Counter // lira_evaluate_degraded_total
@@ -138,10 +136,8 @@ func newServerTelemetry(hub *telemetry.Hub) *serverTelemetry {
 		evalHist:      r.Histogram("lira_evaluate_seconds", nil),
 		predictHist:   r.Histogram("lira_evaluate_predict_seconds", nil),
 		scanHist:      r.Histogram("lira_evaluate_scan_seconds", nil),
-		queueDepth:    r.Gauge("lira_queue_depth"),
 		gridNodes:     r.Gauge("lira_statgrid_nodes"),
 		gridQueries:   r.Gauge("lira_statgrid_queries"),
-		dropped:       r.Counter("lira_queue_dropped_total"),
 		applied:       r.Counter("lira_updates_applied_total"),
 		evals:         r.Counter("lira_evaluations_total"),
 		degradedEvals: r.Counter("lira_evaluate_degraded_total"),
@@ -195,7 +191,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:       cfg,
 		table:     motion.NewTable(cfg.Nodes),
 		grid:      statgrid.New(cfg.Space, cfg.Alpha),
-		input:     queue.NewBounded[Update](cfg.QueueSize),
+		Intake:    NewIntake(cfg.QueueSize, cfg.Telemetry),
 		index:     cqindex.NewGrid(cfg.Space, cfg.IndexCells),
 		predicted: make([]geo.Point, cfg.Nodes),
 		active:    make([]bool, cfg.Nodes),
@@ -210,7 +206,7 @@ func New(cfg Config) (*Server, error) {
 			ProtectQueries: cfg.ProtectQueries,
 		},
 		Stats:     s,
-		Rates:     s.input,
+		Rates:     s.Queue(),
 		QueueCap:  cfg.QueueSize,
 		Telemetry: cfg.Telemetry,
 	})
@@ -235,9 +231,6 @@ func (s *Server) StatsGrid() *statgrid.Grid { return s.grid }
 // Table exposes the server's motion table.
 func (s *Server) Table() *motion.Table { return s.table }
 
-// Queue exposes the input queue for rate accounting.
-func (s *Server) Queue() *queue.Bounded[Update] { return s.input }
-
 // Throttle exposes the THROTLOOP controller.
 func (s *Server) Throttle() *throtloop.Controller { return s.plane.Throttle() }
 
@@ -260,22 +253,10 @@ func (s *Server) RegisterQueries(qs []geo.Rect) {
 // Queries returns the registered queries.
 func (s *Server) Queries() []geo.Rect { return s.queries }
 
-// Ingest offers an update to the input queue; a full queue drops it.
-func (s *Server) Ingest(u Update) bool {
-	ok := s.input.Offer(u)
-	if s.tel != nil {
-		if !ok {
-			s.tel.dropped.Inc()
-		}
-		s.tel.queueDepth.Set(float64(s.input.Len()))
-	}
-	return ok
-}
-
 // Drain applies up to limit queued updates to the motion table and
 // returns the number applied. A negative limit drains everything.
 func (s *Server) Drain(limit int) int {
-	a, b := s.input.ServeSegments(limit)
+	a, b := s.Serve(limit)
 	for _, seg := range [2][]Update{a, b} {
 		for i := range seg {
 			s.table.Apply(seg[i].Node, seg[i].Report)
@@ -288,7 +269,6 @@ func (s *Server) Drain(limit int) int {
 	s.applied += int64(applied)
 	if s.tel != nil {
 		s.tel.applied.Add(int64(applied))
-		s.tel.queueDepth.Set(float64(s.input.Len()))
 	}
 	return applied
 }
@@ -479,94 +459,6 @@ func (s *Server) AdaptAuto(window float64) (*Adaptation, error) {
 	return s.plane.AdaptAuto(window)
 }
 
-// IngestShedOldest enqueues an update, shedding the oldest on overflow to
-// make room for the freshest; the flag reports whether a shed happened.
-// This is the network layer's saturation policy — see
-// queue.Bounded.OfferShedOldest.
-func (s *Server) IngestShedOldest(u Update) bool {
-	shed := s.input.OfferShedOldest(u)
-	if s.tel != nil {
-		if shed {
-			s.tel.dropped.Inc()
-		}
-		s.tel.queueDepth.Set(float64(s.input.Len()))
-	}
-	return shed
-}
-
-// IngestShedOldestBatch enqueues a slice of updates in arrival order
-// under the shed-oldest policy and returns how many entries were shed. A
-// batch of n counts exactly n arrivals in the λ accounting THROTLOOP
-// watches — identical to n IngestShedOldest calls — but admission costs
-// two copies instead of n ring operations. This is the vectored hot path
-// the batched wire format feeds.
-func (s *Server) IngestShedOldestBatch(us []Update) int {
-	shed := s.input.OfferShedOldestBulk(us)
-	if s.tel != nil {
-		if shed > 0 {
-			s.tel.dropped.Add(int64(shed))
-		}
-		s.tel.queueDepth.Set(float64(s.input.Len()))
-	}
-	return shed
-}
-
-// IngestShedOldestColumns is the columnar variant of
-// IngestShedOldestBatch: records arrive as the parallel column slices a
-// decoded wire batch already holds, and each survivor is scattered
-// directly into its ring slot — one write per record, no intermediate
-// contiguous staging. All slices must have equal length; behavior and λ
-// accounting are identical to offering the records one at a time.
-func (s *Server) IngestShedOldestColumns(nodes []uint32, xs, ys, vxs, vys, times []float64) int {
-	n := len(nodes)
-	a, b, shed := s.input.ReserveShedOldestBulk(n)
-	// When n exceeds the ring, only the trailing len(a)+len(b) records
-	// survive admission; the reservation already counted the rest as shed.
-	i := n - len(a) - len(b)
-	for _, seg := range [2][]Update{a, b} {
-		for j := range seg {
-			seg[j] = Update{Node: int(nodes[i]), Report: motion.Report{
-				Pos:  geo.Point{X: xs[i], Y: ys[i]},
-				Vel:  geo.Vector{X: vxs[i], Y: vys[i]},
-				Time: times[i],
-			}}
-			i++
-		}
-	}
-	if s.tel != nil {
-		if shed > 0 {
-			s.tel.dropped.Add(int64(shed))
-		}
-		s.tel.queueDepth.Set(float64(s.input.Len()))
-	}
-	return shed
-}
-
-// Arrived returns the total number of updates ever offered to the input
-// queue (admitted or shed) — the record-conservation ledger's engine-side
-// arrival count: Arrived == Applied + Dropped + QueueLen at quiescence,
-// provided every update entered through the queue (Apply bypasses it and
-// counts only toward Applied).
-func (s *Server) Arrived() int64 { return s.input.Arrived() }
-
-// QueueLen returns the current input-queue length.
-func (s *Server) QueueLen() int { return s.input.Len() }
-
-// QueueCap returns the input-queue bound B.
-func (s *Server) QueueCap() int { return s.input.Cap() }
-
-// Dropped counts updates shed or rejected on queue overflow.
-func (s *Server) Dropped() int64 { return s.input.Dropped() }
-
-// ObserveBusy accumulates busy time into the current rate window; see
-// queue.Bounded.ObserveBusy.
-func (s *Server) ObserveBusy(busy float64) { s.input.ObserveBusy(busy) }
-
-// ConcurrentIngest reports whether Ingest/IngestShedOldest may be called
-// from concurrent producers. The unsharded server's bounded queue is
-// single-writer, so callers must serialize ingest.
-func (s *Server) ConcurrentIngest() bool { return false }
-
 // EngineInfo is a point-in-time engine snapshot for introspection
 // endpoints and operator tooling. Both engines report the same shape.
 type EngineInfo struct {
@@ -592,9 +484,9 @@ func (s *Server) Introspect() EngineInfo {
 	return EngineInfo{
 		Engine:   "cqserver",
 		Shards:   1,
-		QueueLen: s.input.Len(),
-		QueueCap: s.input.Cap(),
-		Dropped:  s.input.Dropped(),
+		QueueLen: s.QueueLen(),
+		QueueCap: s.QueueCap(),
+		Dropped:  s.Dropped(),
 		Applied:  s.applied,
 		Queries:  len(s.queries),
 		Z:        s.plane.Throttle().Z(),

@@ -134,16 +134,14 @@ func newLegacyPipeline(t *testing.T, eng engine.Engine, cfg cqserver.Config) *le
 	if err != nil {
 		t.Fatal(err)
 	}
-	lp := &legacyPipeline{cfg: cfg, loop: loop, grid: eng.StatsGrid}
-	switch s := eng.(type) {
-	case *cqserver.Server:
-		lp.rates = s.Queue().Rates
-	case *shard.Server:
-		lp.rates = s.Rates
-	default:
-		t.Fatalf("unknown engine type %T", eng)
+	// Both engines embed cqserver.Intake; its queue is the rate source.
+	in, ok := eng.(interface {
+		Queue() *queue.Bounded[cqserver.Update]
+	})
+	if !ok {
+		t.Fatalf("engine type %T exposes no input queue", eng)
 	}
-	return lp
+	return &legacyPipeline{cfg: cfg, loop: loop, grid: eng.StatsGrid, rates: in.Queue().Rates}
 }
 
 func (lp *legacyPipeline) adaptAuto(window float64) (float64, *throttler.Result, error) {
@@ -373,8 +371,9 @@ func TestPoliciesAgreeAcrossEngines(t *testing.T) {
 }
 
 // TestFactorySelection pins the engine.New contract: the shard count
-// selects the implementation, and each implementation reports its
-// concurrency class and introspection identity correctly.
+// selects the implementation, each implementation reports its
+// introspection identity correctly, and the queue bound is cfg.QueueSize
+// exactly at any shard count.
 func TestFactorySelection(t *testing.T) {
 	cfg := baseConfig()
 	un, err := engine.New(cfg, 1)
@@ -384,10 +383,7 @@ func TestFactorySelection(t *testing.T) {
 	if _, ok := un.(*cqserver.Server); !ok {
 		t.Fatalf("shards=1: want *cqserver.Server, got %T", un)
 	}
-	if un.ConcurrentIngest() {
-		t.Fatal("cqserver must report single-producer ingest")
-	}
-	if info := un.Introspect(); info.Engine != "cqserver" || info.Shards != 1 {
+	if info := un.Introspect(); info.Engine != "cqserver" || info.Shards != 1 || info.QueueCap != cfg.QueueSize {
 		t.Fatalf("unexpected unsharded introspection: %+v", info)
 	}
 	sh, err := engine.New(cfg, 4)
@@ -397,10 +393,7 @@ func TestFactorySelection(t *testing.T) {
 	if _, ok := sh.(*shard.Server); !ok {
 		t.Fatalf("shards=4: want *shard.Server, got %T", sh)
 	}
-	if !sh.ConcurrentIngest() {
-		t.Fatal("shard must report concurrent-safe ingest")
-	}
-	if info := sh.Introspect(); info.Engine != "shard" || info.Shards != 4 {
+	if info := sh.Introspect(); info.Engine != "shard" || info.Shards != 4 || info.QueueCap != cfg.QueueSize {
 		t.Fatalf("unexpected sharded introspection: %+v", info)
 	}
 }

@@ -4,14 +4,15 @@
 // instead of a concrete server type. Two implementations exist — the
 // unsharded cqserver.Server and the spatially sharded shard.Server — and
 // both promise byte-identical query results over the same ingest sequence,
-// so callers treat the choice purely as a concurrency/throughput knob.
+// so callers treat the choice purely as an evaluation-parallelism knob.
 //
-// The interface was promoted out of internal/netsvc (which keeps a
-// deprecated alias) so that engine-generic code need not depend on the
-// network layer. Adaptation behavior is uniform by construction: both
-// implementations delegate Adapt/AdaptAuto to an internal/controlplane
-// Plane, so the GRIDREDUCE → GREEDYINCREMENT wiring and its telemetry
-// exist exactly once regardless of which engine runs.
+// Admission and adaptation are uniform by construction: both
+// implementations embed the same cqserver.Intake (one bounded input queue
+// of size B, shed-oldest on overflow, the control plane's rate source)
+// and delegate Adapt/AdaptAuto to an internal/controlplane Plane, so the
+// queue accounting and the GRIDREDUCE → GREEDYINCREMENT wiring each exist
+// exactly once regardless of which engine runs. The engines differ in
+// Evaluate, the index, and who owns the statistics grid.
 package engine
 
 import (
@@ -30,9 +31,8 @@ import (
 type Info = cqserver.EngineInfo
 
 // Engine is a mobile CQ evaluation engine: ingest, drain, evaluate, and
-// the LIRA adaptation loop. Methods other than Ingest/IngestShedOldest
-// are single-caller (the owner's drive loop); whether ingest tolerates
-// concurrent producers is reported by ConcurrentIngest.
+// the LIRA adaptation loop. All methods are single-caller (the owner's
+// drive loop); netsvc serialises producers under its mutex.
 type Engine interface {
 	// RegisterQueries replaces the registered continuous range queries.
 	RegisterQueries(qs []geo.Rect)
@@ -44,21 +44,13 @@ type Engine interface {
 	// IngestShedOldest enqueues an update, shedding the oldest on
 	// overflow; the flag reports whether a shed happened.
 	IngestShedOldest(u cqserver.Update) bool
-	// IngestShedOldestBatch enqueues a slice of updates in arrival order
-	// under the shed-oldest policy and returns how many were shed. A
-	// batch of n counts exactly n arrivals — identical to n
-	// IngestShedOldest calls — but admission is vectored, which is what
-	// the batched wire format feeds.
-	IngestShedOldestBatch(us []cqserver.Update) int
-	// IngestShedOldestColumns is the columnar variant of
-	// IngestShedOldestBatch: records arrive as the parallel column
-	// slices a decoded wire batch already holds (all equal length), so
-	// survivors scatter straight into ring slots with no intermediate
-	// contiguous staging.
+	// IngestShedOldestColumns is the vectored IngestShedOldest the
+	// batched wire format feeds: records arrive as the parallel column
+	// slices a decoded wire batch already holds (all equal length) and
+	// survivors scatter straight into queue slots. It returns how many
+	// entries were shed; a batch of n counts exactly n arrivals —
+	// identical to n IngestShedOldest calls.
 	IngestShedOldestColumns(nodes []uint32, xs, ys, vxs, vys, times []float64) int
-	// ConcurrentIngest reports whether Ingest/IngestShedOldest are safe
-	// for concurrent producers.
-	ConcurrentIngest() bool
 	// Apply installs an update directly, bypassing the queue (the
 	// harness's infinitely provisioned reference path).
 	Apply(u cqserver.Update)
@@ -106,7 +98,7 @@ type Engine interface {
 	History() *history.Store
 	// Applied returns the number of updates integrated so far.
 	Applied() int64
-	// Arrived returns the number of updates offered to the input queue(s)
+	// Arrived returns the number of updates offered to the input queue
 	// so far (admitted or shed). Together with Applied, Dropped, and
 	// QueueLen it carries the engine's record-conservation invariant:
 	// at quiescence Arrived == Applied + Dropped + QueueLen, provided
@@ -114,8 +106,7 @@ type Engine interface {
 	// counts only toward Applied).
 	Arrived() int64
 	// QueueLen and QueueCap describe the input queue, and Dropped counts
-	// updates shed or rejected on overflow (each summed across shards
-	// when sharded).
+	// updates shed or rejected on overflow.
 	QueueLen() int
 	QueueCap() int
 	Dropped() int64
@@ -133,8 +124,7 @@ var (
 // New builds the engine selected by shards: the spatially sharded server
 // for shards > 1, the unsharded server otherwise. cfg is interpreted
 // exactly as cqserver.New interprets it (defaults included); when sharded
-// it becomes shard.Config.Core, with cfg.QueueSize split across the shard
-// rings.
+// it becomes shard.Config.Core.
 func New(cfg cqserver.Config, shards int) (Engine, error) {
 	if shards > 1 {
 		return shard.New(shard.Config{Core: cfg, Shards: shards})

@@ -10,7 +10,7 @@ import (
 
 // TestLedgerConservationDifferential pins the engine half of the record-
 // conservation ledger on both engines, sharded and not, across seeds:
-// every update offered to the input queue(s) is eventually accounted for
+// every update offered to the input queue is eventually accounted for
 // as exactly one of applied, dropped, or still queued —
 //
 //	Arrived == Applied + Dropped + QueueLen
@@ -19,8 +19,7 @@ import (
 // quiescence. The workload forces all three fates: a small queue bound
 // overflows under bursts (drops), partial drains leave residue (queued),
 // and the rest lands in the motion table (applied). Ingest is exercised
-// through all three paths the network layer uses (single, batch,
-// columnar).
+// through both paths the network layer uses (single, columnar).
 func TestLedgerConservationDifferential(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, seed := range []uint64{1, 2, 3} {
@@ -46,14 +45,12 @@ func TestLedgerConservationDifferential(t *testing.T) {
 
 				for round := 0; round < 40; round++ {
 					ups := w.step(float64(round))
-					switch round % 3 {
+					switch round % 2 {
 					case 0: // single-record path
 						for _, u := range ups {
 							eng.IngestShedOldest(u)
 						}
-					case 1: // batch path
-						eng.IngestShedOldestBatch(ups)
-					case 2: // columnar path (what decoded wire batches feed)
+					case 1: // columnar path (what decoded wire batches feed)
 						nodes := make([]uint32, len(ups))
 						xs := make([]float64, len(ups))
 						ys := make([]float64, len(ups))

@@ -157,7 +157,7 @@ func admissionChaosRun(t *testing.T, seed uint64) {
 	flood(20)
 	fabric.Heal()
 
-	// Shed rung rejected real ingest ahead of the rings.
+	// Shed rung rejected real ingest ahead of the queue.
 	if adm.PreShed() == 0 {
 		t.Error("shed rung admitted everything: PreShed = 0")
 	}

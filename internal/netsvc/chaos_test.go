@@ -60,8 +60,8 @@ func TestChaosReconnectAndReconverge(t *testing.T) {
 }
 
 // TestChaosShardedEngine runs the same acceptance harness against the
-// K=4 sharded engine: the lock-free ingest path, ring draining, fragment
-// merging, and per-shard telemetry all under fault injection. The
+// K=4 sharded engine: drain-time band routing, fragment merging, and
+// per-shard telemetry all under fault injection. The
 // invariants are identical to the unsharded runs — sharding must be
 // invisible to clients even on a faulty network.
 func TestChaosShardedEngine(t *testing.T) {
@@ -266,7 +266,7 @@ drainStale:
 	if err := s.Close(); err != nil {
 		t.Errorf("server close: %v", err)
 	}
-	// Record conservation at quiescence: Close drained the rings, so
+	// Record conservation at quiescence: Close drained the queue, so
 	// every offered update must have exactly one fate. A recovered panic
 	// mid-ingest may leak an in-flight record (counted offered, never
 	// landed), so the zero-balance assertion only binds on panic-free
@@ -583,9 +583,8 @@ func TestWallClockMonotone(t *testing.T) {
 }
 
 // TestShardedOverflowLambdaOnce is the netsvc end of the λ double-count
-// audit: update frames funnelled through the lock-free sharded ingest
-// path count exactly one arrival each — never one per internal ring hop
-// or shed — and overflow sheds surface in both ShedFrames and the
+// audit: update frames funnelled into the sharded engine count exactly
+// one arrival each — never one per shed — and overflow sheds surface in both ShedFrames and the
 // engine's drop accounting.
 func TestShardedOverflowLambdaOnce(t *testing.T) {
 	clk := &fakeClock{}
@@ -612,7 +611,7 @@ func TestShardedOverflowLambdaOnce(t *testing.T) {
 	for i := 0; i < frames; i++ {
 		s.ingest(nil, wire.Update{
 			Node: uint32(i % 16),
-			// x walks the full space, spreading load over all four rings.
+			// x walks the full space, spreading load over all four bands.
 			Report: motion.Report{Pos: geo.Point{X: float64(i%16) * 125, Y: 5}, Time: float64(i)},
 		})
 	}

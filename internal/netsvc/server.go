@@ -6,14 +6,12 @@
 //
 // The server drives an Engine — the unsharded cqserver.Server, or the
 // spatially sharded shard.Server when ServerConfig.Shards > 1; both
-// produce byte-identical query results, so sharding is purely a
-// concurrency knob. Periodic work — draining the input queue(s),
+// produce byte-identical query results, so sharding is purely an
+// evaluation-parallelism knob. Periodic work — draining the input queue,
 // refreshing statistics, re-running the adaptation, evaluating queries —
 // happens on one background loop under the server mutex. Connection
-// goroutines funnel decoded messages through the same mutex, with one
-// exception: in sharded mode position updates enqueue onto the engine's
-// lock-free rings without taking the mutex at all, so ingest scales with
-// connections instead of serializing on the evaluator.
+// goroutines funnel decoded messages, position updates included, through
+// the same mutex: the engine is single-caller.
 //
 // The layer is built for lossy, partition-prone links (the network the
 // paper's mobile CQ system actually runs over): connections carry read
@@ -75,9 +73,9 @@ type ServerConfig struct {
 	Core cqserver.Config
 	// Shards selects the evaluation engine via engine.New (see
 	// internal/engine): values above 1 deploy the spatially sharded
-	// shard.Server with that many shard cells and a lock-free ingest
-	// path; 0 and 1 deploy the unsharded cqserver.Server. Query results
-	// are byte-identical either way.
+	// shard.Server with that many shard cells; 0 and 1 deploy the
+	// unsharded cqserver.Server. Query results are byte-identical either
+	// way, and so is admission: one input queue of Core.QueueSize.
 	Shards int
 	// Stations is the base-station layout. Empty selects a single
 	// station covering the whole space.
@@ -138,11 +136,9 @@ type Server struct {
 	counters *metrics.NetCounters
 	tel      *netTelemetry
 
-	// eng is the evaluation engine; lockFreeIngest marks its ingest path
-	// safe for concurrent producers (sharded mode), letting update frames
-	// skip the server mutex entirely.
-	eng            Engine
-	lockFreeIngest bool
+	// eng is the evaluation engine. It is single-caller: every call,
+	// ingest included, happens under mu.
+	eng engine.Engine
 
 	// adm is the degradation ladder (nil unless ServerConfig.Admission is
 	// set). Its lock-free methods (AdmitN, ClampZ) gate the ingest paths
@@ -330,15 +326,14 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		}}
 	}
 	s := &Server{
-		cfg:            cfg,
-		ln:             ln,
-		counters:       cfg.Counters,
-		tel:            newNetTelemetry(cfg.Telemetry),
-		eng:            eng,
-		lockFreeIngest: eng.ConcurrentIngest(),
-		nodeConns:      make(map[uint32]*srvConn),
-		nodeStation:    make(map[uint32]int),
-		done:           make(chan struct{}),
+		cfg:         cfg,
+		ln:          ln,
+		counters:    cfg.Counters,
+		tel:         newNetTelemetry(cfg.Telemetry),
+		eng:         eng,
+		nodeConns:   make(map[uint32]*srvConn),
+		nodeStation: make(map[uint32]int),
+		done:        make(chan struct{}),
 	}
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
@@ -427,7 +422,7 @@ func (s *Server) Close() error {
 
 // Core exposes the evaluation engine for inspection (tests, metrics).
 // Callers must not mutate it concurrently with a running server.
-func (s *Server) Core() Engine { return s.eng }
+func (s *Server) Core() engine.Engine { return s.eng }
 
 // Sharded returns the shard count the server was deployed with: 1 for
 // the unsharded engine, K for the sharded one.
@@ -696,11 +691,11 @@ func (s *Server) registerNode(sc *srvConn, h wire.Hello) {
 func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 	n := b.Len()
 	// Conservation ledger: every record of the batch is offered, whatever
-	// its fate (pre-shed, invalid id, ring shed, applied, queued).
+	// its fate (pre-shed, invalid id, queue shed, applied, queued).
 	s.offered.Add(int64(n))
 	// Degradation ladder: at the shed and critical rungs only a fraction
 	// of offered records is admitted, oldest-first — the batch's leading
-	// (stalest) records are rejected before they touch the rings, and the
+	// (stalest) records are rejected before they touch the queue, and the
 	// freshest suffix survives. Pre-shed records never count as queue
 	// arrivals, so λ measures the load the system actually accepted.
 	off := 0
@@ -725,43 +720,26 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 			break
 		}
 	}
-	ingest := func() {
-		sp := root.Child("ingest", "netsvc")
-		shed := 0
-		invalid := 0
-		if vectored {
-			shed = s.eng.IngestShedOldestColumns(b.Node[off:], b.X[off:], b.Y[off:], b.VX[off:], b.VY[off:], b.Time[off:])
-		} else {
-			for i := off; i < n; i++ {
-				u := b.Update(i)
-				if int(u.Node) >= s.cfg.Core.Nodes {
-					invalid++
-					continue
-				}
-				if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-					shed++
-				}
-			}
-		}
-		if invalid > 0 {
-			s.invalid.Add(int64(invalid))
-		}
-		if shed > 0 {
-			s.counters.ShedFrames.Add(int64(shed))
-		}
-		sp.Num("shed", float64(shed)).Num("invalid", float64(invalid)).End()
-	}
-	// Sharded engine: records go straight onto the lock-free rings before
-	// the mutex, so concurrent connections never serialize on admission
-	// (same path as single-update ingest).
-	if s.lockFreeIngest {
-		ingest()
-	}
 	var handoffs [][]byte
 	s.mu.Lock()
-	if !s.lockFreeIngest {
-		ingest()
+	sp := root.Child("ingest", "netsvc")
+	shed := 0
+	invalid := 0
+	if vectored {
+		shed = s.eng.IngestShedOldestColumns(b.Node[off:], b.X[off:], b.Y[off:], b.VX[off:], b.VY[off:], b.Time[off:])
+	} else {
+		for i := off; i < n; i++ {
+			u := b.Update(i)
+			if int(u.Node) >= s.cfg.Core.Nodes {
+				invalid++
+				continue
+			}
+			if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
+				shed++
+			}
+		}
 	}
+	sp.Num("shed", float64(shed)).Num("invalid", float64(invalid)).End()
 	for i := off; i < n; i++ {
 		node := b.Node[i]
 		if int(node) >= s.cfg.Core.Nodes {
@@ -772,6 +750,12 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 		}
 	}
 	s.mu.Unlock()
+	if invalid > 0 {
+		s.invalid.Add(int64(invalid))
+	}
+	if shed > 0 {
+		s.counters.ShedFrames.Add(int64(shed))
+	}
 	for _, frame := range handoffs {
 		if s.tel != nil {
 			s.tel.sentAssignment.Inc()
@@ -812,7 +796,7 @@ func (s *Server) ingest(sc *srvConn, u wire.Update) {
 	}
 	// Degradation ladder: at the shed/critical rungs the controller
 	// rejects a deterministic fraction of offered frames before they
-	// reach the rings (oldest-first over the arrival sequence).
+	// reach the queue (oldest-first over the arrival sequence).
 	if s.adm != nil && s.adm.AdmitN(1) == 0 {
 		return
 	}
@@ -820,36 +804,13 @@ func (s *Server) ingest(sc *srvConn, u wire.Update) {
 	// its oldest report to admit the freshest. The shed counts as a drop
 	// in the queue's accounting — the same λ-side signal THROTLOOP's
 	// utilization estimate is built from — so sustained overflow shows up
-	// as overload, not as an OOM. In sharded mode the enqueue hits the
-	// engine's lock-free rings before the mutex, so concurrent
-	// connections never serialize on admission; either way each frame
-	// counts exactly one arrival (the λ single-count contract).
-	if s.lockFreeIngest {
-		if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-			s.counters.ShedFrames.Add(1)
-		}
-	}
+	// as overload, not as an OOM. Each frame counts exactly one arrival
+	// (the λ single-count contract).
 	s.mu.Lock()
-	if !s.lockFreeIngest {
-		if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-			s.counters.ShedFrames.Add(1)
-		}
+	if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
+		s.counters.ShedFrames.Add(1)
 	}
-	// Hand-off check: a node that moved outside its station's coverage
-	// gets the new station's subset.
-	st, known := s.nodeStation[u.Node]
-	var frame []byte
-	if known {
-		pos := u.Report.Pos
-		if st < 0 || !s.cfg.Stations[st].Covers(pos) {
-			if next := basestation.StationFor(s.cfg.Stations, pos); next != st && next >= 0 {
-				s.nodeStation[u.Node] = next
-				if next < len(s.frames) {
-					frame = s.frames[next]
-				}
-			}
-		}
-	}
+	frame := s.handoffLocked(u.Node, u.Report.Pos)
 	s.mu.Unlock()
 	if frame != nil {
 		if s.tel != nil {
@@ -1034,7 +995,7 @@ func (s *Server) observeSLOLocked() {
 		case "inaccuracy":
 			// Lost-report fraction from the conservation ledger: the share
 			// of offered records that will never reach the motion table
-			// (pre-shed, invalid, or shed from the rings). Reports the
+			// (pre-shed, invalid, or shed from the queue). Reports the
 			// engine drops are exactly the ones whose staleness the paper's
 			// inaccuracy bound pays for.
 			lv := s.ledgerView()

@@ -245,7 +245,9 @@ func Simulate(cfg SimConfig) (*Outcome, error) {
 
 		admit := adm.AdmitN(len(buf))
 		admitted := buf[len(buf)-admit:]
-		eng.IngestShedOldestBatch(admitted)
+		for _, u := range admitted {
+			eng.IngestShedOldest(u)
+		}
 
 		occ := 0.0
 		if c := eng.QueueCap(); c > 0 {

@@ -92,29 +92,17 @@ func (q *Bounded[T]) OfferShedOldest(item T) (shed bool) {
 	return shed
 }
 
-// OfferShedOldestBulk enqueues items in arrival order under the
-// shed-oldest policy and returns how many entries were shed. It is
-// behaviorally identical to calling OfferShedOldest once per item — each
-// item counts one arrival, the ring ends holding the freshest Cap()
-// entries, and every displaced entry counts one drop — but the loop is
-// replaced by at most two copies and O(1) accounting, which is what makes
-// the vectored ingest path cheaper than the per-update one.
-func (q *Bounded[T]) OfferShedOldestBulk(items []T) (shed int) {
-	a, b, shed := q.ReserveShedOldestBulk(len(items))
-	items = items[len(items)-len(a)-len(b):]
-	copy(a, items)
-	copy(b, items[len(a):])
-	return shed
-}
-
 // ReserveShedOldestBulk makes room for n arrivals under the shed-oldest
 // policy and returns up to two writable views — in arrival order — over
 // the min(n, Cap()) slots the survivors occupy. The caller must
 // immediately fill them with the LAST min(n, Cap()) of its n items; when
-// n exceeds capacity the leading overflow counts as shed here, exactly as
-// if the items had been offered one at a time. This is the scatter
-// variant of OfferShedOldestBulk: a columnar producer writes each record
-// directly into its ring slot instead of staging a contiguous batch.
+// n exceeds capacity the leading overflow counts as shed here. It is
+// behaviorally identical to calling OfferShedOldest once per item — each
+// item counts one arrival, the ring ends holding the freshest Cap()
+// entries, and every displaced entry counts one drop — but the loop is
+// replaced by O(1) accounting and one write per survivor: a columnar
+// producer scatters each record directly into its ring slot, which is
+// what makes the vectored ingest path cheaper than the per-update one.
 func (q *Bounded[T]) ReserveShedOldestBulk(n int) (a, b []T, shed int) {
 	if n == 0 {
 		return nil, nil, 0

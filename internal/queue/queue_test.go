@@ -150,7 +150,7 @@ func TestRatesZeroWindow(t *testing.T) {
 // through the same randomized schedule of offers and drains and demands
 // identical observable behavior: dequeued sequences, shed counts, and
 // every counter. This is the contract that lets the vectored ingest path
-// substitute OfferShedOldestBulk/ServeSegments for the per-item calls.
+// substitute ReserveShedOldestBulk/ServeSegments for the per-item calls.
 func TestBulkMatchesPerItem(t *testing.T) {
 	for _, capacity := range []int{1, 3, 8, 64} {
 		// Deterministic xorshift so failures reproduce.
@@ -172,18 +172,11 @@ func TestBulkMatchesPerItem(t *testing.T) {
 					id++
 					items[i] = id
 				}
-				var shedBulk int
-				if next(2) == 0 {
-					shedBulk = bulk.OfferShedOldestBulk(items)
-				} else {
-					// The scatter variant: reserve slots, fill by hand with
-					// the trailing survivors.
-					a, b, shed := bulk.ReserveShedOldestBulk(n)
-					rest := items[n-len(a)-len(b):]
-					copy(a, rest)
-					copy(b, rest[len(a):])
-					shedBulk = shed
-				}
+				// Reserve slots, fill by hand with the trailing survivors.
+				a, b, shedBulk := bulk.ReserveShedOldestBulk(n)
+				rest := items[n-len(a)-len(b):]
+				copy(a, rest)
+				copy(b, rest[len(a):])
 				shedRef := 0
 				for _, it := range items {
 					if ref.OfferShedOldest(it) {

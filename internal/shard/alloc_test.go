@@ -56,8 +56,8 @@ func allocSharded(t *testing.T, k int) (*Server, []cqserver.Update) {
 	return s, ups
 }
 
-// Steady-state ring ingest + drain across K=4 shards must not allocate:
-// rings, motion table, residency maps, and SoA mirrors are all
+// Steady-state ingest + drain across K=4 shards must not allocate: the
+// queue, motion table, residency maps, and SoA mirrors are all
 // fixed-size or amortized to their high-water capacity.
 func TestAllocsIngestDrain(t *testing.T) {
 	pinSerial(t)
@@ -85,15 +85,15 @@ func TestAllocsIngestShedOldest(t *testing.T) {
 	allocs := testing.AllocsPerRun(8192, func() {
 		u := ups[i%len(ups)]
 		i++
-		s.IngestShedOldest(u) // overflows the rings: the shed path is exercised too
+		s.IngestShedOldest(u) // overflows the queue: the shed path is exercised too
 	})
 	if allocs != 0 {
 		t.Errorf("IngestShedOldest allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
 
-// The columnar vectored admission must be allocation-free across shard
-// rings too, overflow sheds included.
+// The columnar vectored admission must be allocation-free on the sharded
+// server too, overflow sheds included.
 func TestAllocsIngestShedOldestColumns(t *testing.T) {
 	pinSerial(t)
 	s, ups := allocSharded(t, 4)
@@ -109,7 +109,7 @@ func TestAllocsIngestShedOldestColumns(t *testing.T) {
 		vxs[j], vys[j] = u.Report.Vel.X, u.Report.Vel.Y
 		times[j] = u.Report.Time
 	}
-	allocs := testing.AllocsPerRun(256, func() { // overflows the rings: the shed path runs too
+	allocs := testing.AllocsPerRun(256, func() { // overflows the queue: the shed path runs too
 		s.IngestShedOldestColumns(nodes, xs, ys, vxs, vys, times)
 	})
 	if allocs != 0 {

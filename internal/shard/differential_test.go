@@ -147,7 +147,7 @@ func TestDifferentialMatrix(t *testing.T) {
 				sh.Drain(-1)
 				ref.ObserveStatistics(w.pos, w.speeds)
 				sh.ObserveStatistics(w.pos, w.speeds)
-				ref.Queue().ObserveBusy(0.5)
+				ref.ObserveBusy(0.5)
 				sh.ObserveBusy(0.5)
 				rr := ref.Evaluate(now)
 				sr := sh.Evaluate(now)
@@ -233,53 +233,104 @@ func TestSeedStability(t *testing.T) {
 	}
 }
 
-// TestOverflowEqualityK1 pins the K=1 overflow claim: under shed-oldest
-// pressure the single-ring server admits, sheds, and applies exactly the
-// updates queue.Bounded would, ending in the same table state and query
-// results as the unsharded server fed through its own shed-oldest path.
-func TestOverflowEqualityK1(t *testing.T) {
+// TestOverflowEquality pins overload behaviour as independent of K: under
+// shed-oldest pressure the sharded server admits, sheds, and applies
+// exactly the updates the unsharded server does, at every shard count —
+// same shed count, same surviving reports in the motion table, same query
+// results. The hot-band case squeezes every report into the westmost band
+// of the K=8 geometry: admission is not partitioned, so a spatial hot spot
+// still has the whole bound B to queue in.
+func TestOverflowEquality(t *testing.T) {
 	const nodes, ticks, b = 120, 25, 16
-	ref, err := cqserver.New(cqserver.Config{
-		Space: space(), Nodes: nodes, L: 13,
-		Curve: baseConfig().Core.Curve, QueueSize: b,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		squeeze float64 // reports land in x ∈ [0, squeeze·width]
+	}{
+		{"spread", 1},
+		{"hot-band", 0.1},
 	}
-	sh := testSharded(t, 1, func(c *Config) {
-		c.Core.Nodes = nodes
-		c.Core.QueueSize = b
-	})
-	qs := testQueries(rng.New(5).Split(99))
-	ref.RegisterQueries(qs)
-	sh.RegisterQueries(qs)
-	w := newWorkload(5, nodes)
-	for tick := 1; tick <= ticks; tick++ {
-		now := float64(tick)
-		for _, u := range w.step(now, 1) {
-			ref.Queue().OfferShedOldest(u)
-			sh.IngestShedOldest(u)
+	for _, tc := range cases {
+		for _, k := range []int{1, 2, 4, 8} {
+			ref, err := cqserver.New(cqserver.Config{
+				Space: space(), Nodes: nodes, L: 13,
+				Curve: baseConfig().Core.Curve, QueueSize: b,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sh := testSharded(t, k, func(c *Config) {
+				c.Core.Nodes = nodes
+				c.Core.QueueSize = b
+			})
+			if sh.QueueCap() != b {
+				t.Fatalf("%s K=%d: queue bound %d, want exactly %d", tc.name, k, sh.QueueCap(), b)
+			}
+			qs := testQueries(rng.New(5).Split(99))
+			ref.RegisterQueries(qs)
+			sh.RegisterQueries(qs)
+			w := newWorkload(5, nodes)
+			for tick := 1; tick <= ticks; tick++ {
+				now := float64(tick)
+				for _, u := range w.step(now, 1) {
+					u.Report.Pos.X *= tc.squeeze
+					u.Report.Vel.X *= tc.squeeze
+					if ref.IngestShedOldest(u) != sh.IngestShedOldest(u) {
+						t.Fatalf("%s K=%d tick %d: shed decision diverged", tc.name, k, tick)
+					}
+				}
+				// Drain only part of the backlog so the queue stays saturated.
+				ref.Drain(b / 2)
+				sh.Drain(b / 2)
+				if ref.QueueLen() != sh.QueueLen() {
+					t.Fatalf("%s K=%d tick %d: queue length diverged: ref %d, sharded %d",
+						tc.name, k, tick, ref.QueueLen(), sh.QueueLen())
+				}
+				for id := 0; id < nodes; id++ {
+					rr, rok := ref.Table().Report(id)
+					sr, sok := sh.Table().Report(id)
+					if rok != sok || rr != sr {
+						t.Fatalf("%s K=%d tick %d: node %d survivor diverged: ref %+v, sharded %+v",
+							tc.name, k, tick, id, rr, sr)
+					}
+				}
+				if !equalResults(ref.Evaluate(now), sh.Evaluate(now)) {
+					t.Fatalf("%s K=%d tick %d: results diverged under overflow", tc.name, k, tick)
+				}
+			}
+			if ref.Dropped() == 0 {
+				t.Fatalf("%s: workload never overflowed the queue", tc.name)
+			}
+			if ref.Dropped() != sh.Dropped() || ref.Arrived() != sh.Arrived() || ref.Applied() != sh.Applied() {
+				t.Fatalf("%s K=%d: accounting diverged: ref dropped/arrived/applied %d/%d/%d, sharded %d/%d/%d",
+					tc.name, k, ref.Dropped(), ref.Arrived(), ref.Applied(),
+					sh.Dropped(), sh.Arrived(), sh.Applied())
+			}
 		}
-		// Drain only part of the backlog so the queues stay saturated.
-		ref.Drain(b / 2)
-		sh.Drain(b / 2)
-		if ref.Queue().Len() != sh.QueueLen() {
-			t.Fatalf("tick %d: queue length diverged: ref %d, sharded %d",
-				tick, ref.Queue().Len(), sh.QueueLen())
+	}
+}
+
+// TestDrainLimitIsFIFOPrefix pins Drain(limit) at every K: the records it
+// applies are the oldest limit arrivals, wherever in space they lie — a
+// drain budget never starves a band.
+func TestDrainLimitIsFIFOPrefix(t *testing.T) {
+	const n, limit = 40, 15
+	for _, k := range []int{1, 2, 4, 8} {
+		sh := testSharded(t, k, nil)
+		for i := 0; i < n; i++ {
+			// Consecutive arrivals hop between bands, east first.
+			x := float64((n-1-i)*379%1000) + 0.5
+			sh.Ingest(cqserver.Update{Node: i, Report: motion.Report{Pos: geo.Point{X: x, Y: 500}}})
 		}
-		if !equalResults(ref.Evaluate(now), sh.Evaluate(now)) {
-			t.Fatalf("tick %d: results diverged under overflow", tick)
+		if got := sh.Drain(limit); got != limit {
+			t.Fatalf("K=%d: Drain(%d) applied %d", k, limit, got)
 		}
-	}
-	if ref.Queue().Dropped() != sh.Dropped() {
-		t.Fatalf("drop accounting diverged: ref %d, sharded %d",
-			ref.Queue().Dropped(), sh.Dropped())
-	}
-	if ref.Queue().Arrived() != sh.Arrived() {
-		t.Fatalf("arrival accounting diverged: ref %d, sharded %d",
-			ref.Queue().Arrived(), sh.Arrived())
-	}
-	if ref.Applied() != sh.Applied() {
-		t.Fatalf("applied diverged: ref %d, sharded %d", ref.Applied(), sh.Applied())
+		for i := 0; i < n; i++ {
+			if known := sh.Table().Known(i); known != (i < limit) {
+				t.Fatalf("K=%d: arrival %d applied=%v after Drain(%d), want the FIFO prefix", k, i, known, limit)
+			}
+		}
+		if sh.QueueLen() != n-limit {
+			t.Fatalf("K=%d: %d left queued, want %d", k, sh.QueueLen(), n-limit)
+		}
 	}
 }

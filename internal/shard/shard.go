@@ -1,20 +1,21 @@
 // Package shard implements the spatially sharded mobile CQ server: K
-// shard cells aligned to the α×α statistics grid, each with a lock-free
-// batched ingest ring, a private statistics grid, and an incrementally
-// maintained query index, behind one global LIRA adaptation loop.
+// shard cells aligned to the α×α statistics grid, each with a private
+// statistics grid and an incrementally maintained query index, behind
+// one bounded input queue and one global LIRA adaptation loop.
 //
-// The unsharded cqserver.Server is a single logical evaluator: one
-// mutex-guarded input queue, one full index rebuild per evaluation. This
-// package splits the monitored space into K vertical bands (Geometry),
-// routes each position update to its band's ring without locks (Ring),
-// drains rings in batches into a shared motion table whose per-node
-// last-writer is decided by a global arrival sequence number, and keeps
-// each shard's cqindex.Inc current with insert/delete/move deltas —
-// falling back to a full compaction only when a shard's delta debt
-// exceeds DebtFactor times its population. Cross-shard queries are
-// clipped into per-shard fragments; per-shard result lists are merged in
-// shard order and canonicalized to ascending node id, the same order
-// cqserver.Evaluate reports.
+// The unsharded cqserver.Server is a single logical evaluator: one full
+// index rebuild per evaluation. This package splits the monitored space
+// into K vertical bands (Geometry) and distributes the evaluation over
+// them. Admission is not partitioned: updates enter the same
+// cqserver.Intake the unsharded server embeds — the paper's one queue of
+// size B — and Drain routes each record to its band as it applies it to
+// the shared motion table, so a single FIFO decides every node's last
+// writer. Each shard's cqindex.Inc is kept current with
+// insert/delete/move deltas, falling back to a full compaction only when
+// the shard's delta debt exceeds DebtFactor times its population.
+// Cross-shard queries are clipped into per-shard fragments; per-shard
+// result lists are merged in shard order and canonicalized to ascending
+// node id, the same order cqserver.Evaluate reports.
 //
 // # Determinism contract
 //
@@ -22,15 +23,15 @@
 // inputs and are byte-identical to the unsharded server's at every shard
 // count: residency assigns each node to exactly one shard, fragments
 // cover each query exactly once per shard, and the ascending-id merge
-// erases shard layout from the output. THROTLOOP sees one global (λ, μ)
-// summed over the shard rings, so z is exact at any K. The adaptation's
+// erases shard layout from the output. Admission, shedding and the
+// (λ, μ) THROTLOOP reads all come from the one input queue, so overload
+// behaviour and z are the unsharded server's at any K. The adaptation's
 // Δᵢ values are bit-identical to the unsharded server at K = 1 (the
 // merged statistics reduce in shard order, degenerating to the identity)
 // and seed-stable at any fixed K; at K > 1 they may differ from K = 1 in
 // final ulps because cross-shard scalar sums reassociate floating-point
-// addition. Concurrency never changes results: producers only contend on
-// the rings, and every parallel evaluation phase writes per-shard state
-// merged in shard order (see package par).
+// addition. Concurrency never changes results: every parallel evaluation
+// phase writes per-shard state merged in shard order (see package par).
 package shard
 
 import (
@@ -60,7 +61,7 @@ import (
 type Config struct {
 	// Core carries the LIRA pipeline parameters, interpreted exactly as
 	// cqserver.New interprets them (defaults included). Core.QueueSize is
-	// the global bound B, split evenly across the shard rings.
+	// the input queue's bound B at every shard count.
 	Core cqserver.Config
 	// Shards is the shard count K ∈ [1, α]; zero selects 1. Shard cells
 	// are vertical bands of statistics-grid columns, so K may not exceed
@@ -74,11 +75,10 @@ type Config struct {
 }
 
 // shardState is the per-shard slice of the server: the shard's cell, its
-// ingest ring, private statistics grid, incremental index, resident
-// list, query fragments, and evaluation scratch.
+// private statistics grid, incremental index, resident list, query
+// fragments, and evaluation scratch.
 type shardState struct {
 	cell  geo.Rect
-	ring  *Ring
 	grid  *statgrid.Grid
 	index *cqindex.Inc
 
@@ -89,9 +89,8 @@ type shardState struct {
 	// phase-1 dead-reckoning sweep streams these contiguous columns
 	// instead of gathering 40-byte report structs from the shared table
 	// by node id — the shard-order gather is what made the old loop
-	// cache-hostile. The mirror is updated wherever the table is (under
-	// the same last-writer seq check), so its values are bit-identical
-	// to the table's.
+	// cache-hostile. The mirror is updated wherever the table is, so its
+	// values are bit-identical to the table's.
 	resX, resY   []float64
 	resVX, resVY []float64
 	resT         []float64
@@ -123,20 +122,18 @@ type migration struct {
 	p  geo.Point
 }
 
-// Server is a spatially sharded mobile CQ server. Ingest and
-// IngestShedOldest are safe for concurrent use by any number of
-// producers; all other methods are single-caller (the owner's drive
-// loop), concurrent only with producers.
+// Server is a spatially sharded mobile CQ server. All methods are
+// single-caller (the owner's drive loop).
 type Server struct {
+	cqserver.Intake
+
 	cfg  Config
 	geom *Geometry
 	k    int
 
 	shards []*shardState
 
-	table   *motion.Table
-	lastSeq []int64 // per node: arrival seq of the applied report, -1 none
-	seq     atomic.Int64
+	table *motion.Table
 
 	// shardOf/resSlot are the residency maps: the shard currently owning
 	// each node (-1 until its first report) and the node's slot in that
@@ -152,7 +149,6 @@ type Server struct {
 	results [][]int
 
 	applied int64
-	winBusy float64
 
 	// Hot-path state hoisted out of Evaluate/ObserveStatistics so the
 	// steady state performs zero allocations: the evaluation timestamp
@@ -233,27 +229,24 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	k := cfg.Shards
-	ringCap := (core.QueueSize + k - 1) / k
 	s := &Server{
+		Intake:  cqserver.NewIntake(core.QueueSize, core.Telemetry),
 		cfg:     cfg,
 		geom:    geom,
 		k:       k,
 		shards:  make([]*shardState, k),
 		table:   motion.NewTable(core.Nodes),
-		lastSeq: make([]int64, core.Nodes),
 		shardOf: make([]int32, core.Nodes),
 		resSlot: make([]int32, core.Nodes),
 		merged:  statgrid.New(core.Space, core.Alpha),
 		history: hist,
 	}
-	for i := range s.lastSeq {
-		s.lastSeq[i] = -1
+	for i := range s.shardOf {
 		s.shardOf[i] = -1
 	}
 	for i := 0; i < k; i++ {
 		s.shards[i] = &shardState{
 			cell:  geom.Cell(i),
-			ring:  NewRing(ringCap),
 			grid:  statgrid.New(core.Space, core.Alpha),
 			index: cqindex.NewInc(core.Space, core.IndexCells, core.Nodes),
 		}
@@ -278,7 +271,7 @@ func New(cfg Config) (*Server, error) {
 			ProtectQueries: core.ProtectQueries,
 		},
 		Stats:     s,
-		Rates:     s,
+		Rates:     s.Queue(),
 		QueueCap:  core.QueueSize,
 		Telemetry: core.Telemetry,
 	})
@@ -316,187 +309,51 @@ func (s *Server) Applied() int64 { return s.applied }
 // Queries returns the registered queries.
 func (s *Server) Queries() []geo.Rect { return s.queries }
 
-// QueueLen returns the summed length of the shard rings.
-func (s *Server) QueueLen() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.ring.Len()
-	}
-	return n
-}
-
-// QueueCap returns the summed logical capacity of the shard rings.
-func (s *Server) QueueCap() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.ring.Cap()
-	}
-	return n
-}
-
-// Dropped returns the total updates shed or rejected across all rings.
-func (s *Server) Dropped() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.ring.Dropped()
-	}
-	return n
-}
-
-// Arrived returns the total updates offered across all rings.
-func (s *Server) Arrived() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.ring.Arrived()
-	}
-	return n
-}
-
-// route returns the shard ring owning u's report position.
-func (s *Server) route(u cqserver.Update) *shardState {
-	return s.shards[s.geom.ShardFor(s.cfg.Core.Space.ClampPoint(u.Report.Pos))]
-}
-
-// stamp assigns u its global arrival sequence number.
-func (s *Server) stamp(u cqserver.Update) entry {
-	return entry{u: u, seq: s.seq.Add(1) - 1}
-}
-
-// Ingest offers an update to its shard's ring; a full ring drops it.
-// This is the drop-newest admission cqserver.Ingest uses. Safe for
-// concurrent use.
-func (s *Server) Ingest(u cqserver.Update) bool {
-	sh := s.route(u)
-	ok := sh.ring.Offer(s.stamp(u))
-	if s.tel != nil {
-		if !ok {
-			s.tel.dropped.Inc()
-		}
-		s.tel.queueDepth.Set(float64(s.QueueLen()))
-	}
-	return ok
-}
-
-// IngestShedOldest enqueues an update unconditionally: a full ring sheds
-// its oldest entry — counted as a drop in the same λ-side accounting
-// THROTLOOP watches — to admit the freshest. This is the network layer's
-// overflow policy. Safe for concurrent use.
-func (s *Server) IngestShedOldest(u cqserver.Update) (shed bool) {
-	sh := s.route(u)
-	shed = sh.ring.OfferShedOldest(s.stamp(u))
-	if s.tel != nil {
-		if shed {
-			s.tel.dropped.Inc()
-		}
-		s.tel.queueDepth.Set(float64(s.QueueLen()))
-	}
-	return shed
-}
-
-// IngestShedOldestBatch enqueues a slice of updates in arrival order
-// under the shed-oldest policy and returns how many entries were shed.
-// Each record is stamped and routed to its shard ring exactly as
-// IngestShedOldest would — a batch of n counts n arrivals — but
-// interface dispatch and telemetry cost once per batch instead of once
-// per record. Safe for concurrent use.
-func (s *Server) IngestShedOldestBatch(us []cqserver.Update) int {
-	shed := 0
-	for i := range us {
-		sh := s.route(us[i])
-		if sh.ring.OfferShedOldest(s.stamp(us[i])) {
-			shed++
-		}
-	}
-	if s.tel != nil {
-		if shed > 0 {
-			s.tel.dropped.Add(int64(shed))
-		}
-		s.tel.queueDepth.Set(float64(s.QueueLen()))
-	}
-	return shed
-}
-
-// IngestShedOldestColumns is the columnar variant of
-// IngestShedOldestBatch: records arrive as parallel column slices and
-// each is stamped and routed to its shard ring. Safe for concurrent use.
-func (s *Server) IngestShedOldestColumns(nodes []uint32, xs, ys, vxs, vys, times []float64) int {
-	shed := 0
-	for i := range nodes {
-		u := cqserver.Update{Node: int(nodes[i]), Report: motion.Report{
-			Pos:  geo.Point{X: xs[i], Y: ys[i]},
-			Vel:  geo.Vector{X: vxs[i], Y: vys[i]},
-			Time: times[i],
-		}}
-		if s.route(u).ring.OfferShedOldest(s.stamp(u)) {
-			shed++
-		}
-	}
-	if s.tel != nil {
-		if shed > 0 {
-			s.tel.dropped.Add(int64(shed))
-		}
-		s.tel.queueDepth.Set(float64(s.QueueLen()))
-	}
-	return shed
-}
-
-// Drain applies up to limit queued updates to the motion table and
-// returns the number applied. A negative limit drains everything. Rings
-// drain in shard order; the arrival sequence number decides each node's
-// last writer, so the final table state matches a single global FIFO's
-// regardless of how updates were distributed across rings.
+// Drain applies up to limit queued updates to the motion table, oldest
+// first, and returns the number applied. A negative limit drains
+// everything. Each record is routed to its band here, on the single
+// drain caller, rather than at admission.
 func (s *Server) Drain(limit int) int {
-	applied := 0
-	for _, sh := range s.shards {
-		for limit < 0 || applied < limit {
-			e, ok := sh.ring.Poll()
-			if !ok {
-				break
-			}
-			s.applyEntry(e)
-			applied++
+	a, b := s.Serve(limit)
+	for _, seg := range [2][]cqserver.Update{a, b} {
+		for i := range seg {
+			s.apply(seg[i])
 		}
 	}
+	applied := len(a) + len(b)
 	s.applied += int64(applied)
 	if s.tel != nil {
 		s.tel.applied.Add(int64(applied))
-		s.tel.queueDepth.Set(float64(s.QueueLen()))
 		// Refresh the per-shard gauges here as well as in Evaluate:
 		// a deployment with no registered queries drains without ever
 		// evaluating, and residency still moves with the reports.
 		for si, sh := range s.shards {
 			s.tel.shardResidents[si].Set(float64(len(sh.residents)))
-			s.tel.shardDepth[si].Set(float64(sh.ring.Len()))
 		}
 	}
 	return applied
 }
 
-// Apply installs an update directly, bypassing the rings (the harness's
-// infinitely provisioned reference path). Not safe concurrently with
-// producers of the same node.
+// Apply installs an update directly, bypassing the queue (the harness's
+// infinitely provisioned reference path).
 func (s *Server) Apply(u cqserver.Update) {
-	s.applyEntry(s.stamp(u))
+	s.apply(u)
 	s.applied++
 }
 
-func (s *Server) applyEntry(e entry) {
-	id := e.u.Node
+func (s *Server) apply(u cqserver.Update) {
+	id := u.Node
+	s.table.Apply(id, u.Report)
 	if s.history != nil {
 		// History orders by report time and rejects regressions itself.
-		_ = s.history.Append(id, e.u.Report)
+		_ = s.history.Append(id, u.Report)
 	}
-	if e.seq < s.lastSeq[id] {
-		return // superseded by a later arrival drained from another ring
-	}
-	s.lastSeq[id] = e.seq
-	s.table.Apply(id, e.u.Report)
 	// Residency follows the report position; Evaluate re-homes the node
 	// if its dead-reckoned position later drifts across a shard boundary.
-	target := int32(s.geom.ShardFor(s.cfg.Core.Space.ClampPoint(e.u.Report.Pos)))
+	target := int32(s.geom.ShardFor(s.cfg.Core.Space.ClampPoint(u.Report.Pos)))
 	cur := s.shardOf[id]
 	if cur == target {
-		s.setResidentReport(cur, int32(id), e.u.Report)
+		s.setResidentReport(cur, int32(id), u.Report)
 		return
 	}
 	if cur >= 0 {
@@ -506,7 +363,7 @@ func (s *Server) applyEntry(e entry) {
 			s.tel.migrations.Inc()
 		}
 	}
-	s.addResident(target, int32(id), e.u.Report)
+	s.addResident(target, int32(id), u.Report)
 }
 
 // setResidentReport refreshes the SoA mirror slot of an already-resident
@@ -692,7 +549,6 @@ func (s *Server) Evaluate(now float64) [][]int {
 		s.tel.evals.Inc()
 		for si, sh := range s.shards {
 			s.tel.shardResidents[si].Set(float64(len(sh.residents)))
-			s.tel.shardDepth[si].Set(float64(sh.ring.Len()))
 		}
 	}
 	return s.results
@@ -831,45 +687,11 @@ func (s *Server) Adapt(z float64) (*cqserver.Adaptation, error) {
 	return s.plane.Adapt(z)
 }
 
-// ObserveBusy accumulates the fraction of the current measurement window
-// the drain/evaluate loop spent busy; AdaptAuto divides through by the
-// window length (the same μ estimation queue.Bounded provides).
-func (s *Server) ObserveBusy(busy float64) { s.winBusy += busy }
-
-// Rates returns the global arrival rate λ and service rate μ measured
-// over the window (seconds) by summing the shard rings' windowed
-// counters, and resets the window. Each ingested update contributes to
-// exactly one ring's window exactly once, so the sum is the true offered
-// load — see the Ring accounting contract.
-func (s *Server) Rates(window float64) (lambda, mu float64) {
-	if window <= 0 {
-		return 0, 0
-	}
-	var arrived, served int64
-	for _, sh := range s.shards {
-		a, sv := sh.ring.takeWindow()
-		arrived += a
-		served += sv
-	}
-	lambda = float64(arrived) / window
-	if s.winBusy > 0 {
-		mu = float64(served) / s.winBusy
-	}
-	s.winBusy = 0
-	return lambda, mu
-}
-
-// AdaptAuto measures the summed ring signals over the window, steps the
-// global THROTLOOP, and adapts at the resulting throttle fraction —
-// through the shared control plane, whose rate source is Rates.
+// AdaptAuto measures the input queue over the window, steps THROTLOOP,
+// and adapts at the resulting throttle fraction.
 func (s *Server) AdaptAuto(window float64) (*cqserver.Adaptation, error) {
 	return s.plane.AdaptAuto(window)
 }
-
-// ConcurrentIngest reports whether Ingest/IngestShedOldest may be called
-// from concurrent producers. The shard rings are lock-free multi-producer
-// queues, so they may.
-func (s *Server) ConcurrentIngest() bool { return true }
 
 // Introspect returns a point-in-time engine snapshot.
 func (s *Server) Introspect() cqserver.EngineInfo {

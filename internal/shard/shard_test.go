@@ -124,15 +124,14 @@ func TestResidencyFollowsReports(t *testing.T) {
 }
 
 func TestStaleArrivalSuperseded(t *testing.T) {
-	// Two reports for one node drain from different rings in "wrong"
-	// order: the later arrival must win regardless of drain order.
+	// Two reports for one node land in different bands: the later arrival
+	// must win whatever the band order, which one FIFO gives for free.
 	s := testSharded(t, 2, nil)
 	early := cqserver.Update{Node: 3, Report: motion.Report{Pos: geo.Point{X: 900, Y: 10}, Time: 0}}
 	late := cqserver.Update{Node: 3, Report: motion.Report{Pos: geo.Point{X: 100, Y: 10}, Time: 1}}
 	if !s.Ingest(early) || !s.Ingest(late) {
 		t.Fatal("ingest failed")
 	}
-	// Drain applies shard 0 (late, x=100) before shard 1 (early, x=900).
 	s.Drain(-1)
 	rep, ok := s.Table().Report(3)
 	if !ok || rep.Pos.X != 100 {
@@ -140,6 +139,37 @@ func TestStaleArrivalSuperseded(t *testing.T) {
 	}
 	if s.shardOf[3] != 0 {
 		t.Errorf("node 3 resident in shard %d, want 0", s.shardOf[3])
+	}
+}
+
+// TestServerLambdaSingleCount audits the λ single-count contract at the
+// server: every update funnelled through IngestShedOldest counts exactly
+// one arrival in the window the control plane's rate source reports, no
+// matter how many sheds it causes or which band it lands in, and sheds
+// are never counted as service.
+func TestServerLambdaSingleCount(t *testing.T) {
+	const b, offers = 8, 200
+	s := testSharded(t, 4, func(c *Config) { c.Core.QueueSize = b })
+	for i := 0; i < offers; i++ {
+		x := float64(i%100) * 10 // spread across bands
+		s.IngestShedOldest(cqserver.Update{
+			Node:   i % 100,
+			Report: motion.Report{Pos: geo.Point{X: x, Y: 500}, Time: float64(i)},
+		})
+	}
+	s.ObserveBusy(1)
+	lambda, mu := s.Queue().Rates(1)
+	if lambda != offers {
+		t.Fatalf("λ = %v, want %v (one arrival per ingested update)", lambda, offers)
+	}
+	if mu != 0 {
+		t.Fatalf("μ = %v, want 0 (sheds are not services)", mu)
+	}
+	if s.Dropped() != offers-b {
+		t.Fatalf("dropped = %d, want %d", s.Dropped(), offers-b)
+	}
+	if got := s.Dropped() + int64(s.QueueLen()); got != offers {
+		t.Fatalf("dropped + queued = %d, want %d", got, offers)
 	}
 }
 

@@ -20,11 +20,9 @@ type shardTelemetry struct {
 	predictHist *telemetry.Histogram // lira_evaluate_predict_seconds
 	scanHist    *telemetry.Histogram // lira_evaluate_scan_seconds
 
-	queueDepth  *telemetry.Gauge // lira_queue_depth (summed over rings)
 	gridNodes   *telemetry.Gauge // lira_statgrid_nodes (summed over shards)
 	gridQueries *telemetry.Gauge // lira_statgrid_queries (summed over shards)
 
-	dropped       *telemetry.Counter // lira_queue_dropped_total
 	applied       *telemetry.Counter // lira_updates_applied_total
 	evals         *telemetry.Counter // lira_evaluations_total
 	degradedEvals *telemetry.Counter // lira_evaluate_degraded_total
@@ -32,7 +30,6 @@ type shardTelemetry struct {
 	compactions   *telemetry.Counter // lira_shard_compactions_total
 
 	// Per-shard gauges, indexed by shard: lira_shard<N>_…
-	shardDepth     []*telemetry.Gauge // ring length
 	shardResidents []*telemetry.Gauge // resident count
 	shardNodes     []*telemetry.Gauge // statistics-grid node mass
 }
@@ -47,21 +44,17 @@ func newShardTelemetry(hub *telemetry.Hub, k int) *shardTelemetry {
 		evalHist:       r.Histogram("lira_evaluate_seconds", nil),
 		predictHist:    r.Histogram("lira_evaluate_predict_seconds", nil),
 		scanHist:       r.Histogram("lira_evaluate_scan_seconds", nil),
-		queueDepth:     r.Gauge("lira_queue_depth"),
 		gridNodes:      r.Gauge("lira_statgrid_nodes"),
 		gridQueries:    r.Gauge("lira_statgrid_queries"),
-		dropped:        r.Counter("lira_queue_dropped_total"),
 		applied:        r.Counter("lira_updates_applied_total"),
 		evals:          r.Counter("lira_evaluations_total"),
 		degradedEvals:  r.Counter("lira_evaluate_degraded_total"),
 		migrations:     r.Counter("lira_shard_migrations_total"),
 		compactions:    r.Counter("lira_shard_compactions_total"),
-		shardDepth:     make([]*telemetry.Gauge, k),
 		shardResidents: make([]*telemetry.Gauge, k),
 		shardNodes:     make([]*telemetry.Gauge, k),
 	}
 	for i := 0; i < k; i++ {
-		t.shardDepth[i] = r.Gauge(fmt.Sprintf("lira_shard%d_queue_depth", i))
 		t.shardResidents[i] = r.Gauge(fmt.Sprintf("lira_shard%d_residents", i))
 		t.shardNodes[i] = r.Gauge(fmt.Sprintf("lira_shard%d_statgrid_nodes", i))
 	}

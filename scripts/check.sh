@@ -1,6 +1,6 @@
 #!/bin/sh
-# Repository check gate: vet, build, race-enabled tests, and a one-shot
-# benchmark smoke. Mirrors `make check` for environments without make.
+# Repository check gate: vet, build, race-enabled tests, the smokes, and
+# the socket-level benchmark's smoke pass. `make check` runs this script.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -88,5 +88,8 @@ sh scripts/plan_smoke.sh
 
 echo "== measured smoke (measured comparison + liraplan -measured; lira beats baselines, byte-deterministic) =="
 sh scripts/measured_smoke.sh
+
+echo "== socket bench smoke (ingest_ramp: live K=2 lirad, ledger + oracle checks) =="
+go run ./bench -smoke -workload ingest_ramp
 
 echo "check: OK"

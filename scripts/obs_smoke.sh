@@ -41,7 +41,7 @@ done
 for family in lira_queue_depth lira_throttle_z lira_statgrid_nodes \
 	lira_gridreduce_seconds_bucket lira_set_throttlers_seconds_sum \
 	lira_adaptations_total lira_net_disconnects_total \
-	lira_shard0_queue_depth lira_shard3_residents lira_shard_migrations_total \
+	lira_shard0_residents lira_shard3_residents lira_shard_migrations_total \
 	lira_frames_read_update_batch_total lira_ingest_batch_size_bucket \
 	lira_batch_decode_seconds_bucket lira_gc_pause_seconds; do
 	grep -q "^$family" "$TMP/metrics.txt" || {
