@@ -1,11 +1,12 @@
 # Developer entry points. `make check` is the gate PRs must pass; it runs
 # scripts/check.sh, which owns every gate step. The other targets are the
 # ones the README names: partial gates worth running alone, the demo, and
-# the artifact regenerators.
+# the artifact regenerators. Only deterministic artifacts have one:
+# timings come from `go run ./bench`, and BENCH_PR1-8.json are frozen.
 
 GO ?= go
 
-.PHONY: check fuzz-smoke chaos obs-smoke obs-demo admission-smoke spans-smoke plan-smoke measured-smoke bench-report bench-report-obs bench-report-shard bench-report-policy bench-report-saturate bench-report-admission bench-report-spans bench-report-plan bench-report-measured
+.PHONY: check fuzz-smoke chaos obs-smoke obs-demo admission-smoke spans-smoke plan-smoke measured-smoke bench-report-policy bench-report-plan bench-report-measured
 
 check:
 	sh scripts/check.sh
@@ -63,44 +64,15 @@ obs-demo:
 	$(GO) run ./cmd/lirad -listen 127.0.0.1:17400 -http 127.0.0.1:17401 \
 		-pprof -nodes 1000 -l 49 -side 5000 -adapt 5s -eval 2s
 
-# Regenerate the serial-vs-parallel timing artifact.
-bench-report:
-	$(GO) run ./cmd/lirabench -nodes 1500 -duration 300 -parallel 4 -json BENCH_PR1.json
-
-# Regenerate the telemetry-overhead artifact (Evaluate-latency histogram,
-# per-stage breakdown, on/off overhead).
-bench-report-obs:
-	$(GO) run ./cmd/lirabench -exp fig9 -nodes 1500 -duration 300 -parallel 4 -obs -json BENCH_PR3.json
-
-# Regenerate the shard-scaling artifact (per-K timing plus the cross-K
-# result-identity verdict).
-bench-report-shard:
-	$(GO) run ./cmd/lirabench -shards 1,2,4,8 -shardjson BENCH_PR4.json
-
-# Regenerate the measured policy-comparison artifact: every registry
-# policy's measured E^C/E^P per (workload, z) — the successor of the
-# modeled-objective BENCH_PR5 table.
-bench-report-policy: bench-report-measured
-
+# Regenerate the measured policy-comparison artifact BENCH_PR10.json:
+# every registry policy's measured E^C/E^P per (workload, z), byte-
+# deterministic under the fixed seed.
 bench-report-measured:
 	$(GO) run ./cmd/lirabench -policy -policyjson BENCH_PR10.json
 
-# Regenerate the ingest-saturation artifact: offered-rate ramp to the
-# knee plus the single-core per-update-vs-batched path comparison.
-bench-report-saturate:
-	$(GO) run ./cmd/lirabench -saturate -saturatejson BENCH_PR6.json
-
-# Regenerate the degradation-ladder artifact: flash-crowd overload
-# timeline (escalation, pre-shed, recovery) plus the healthy-state
-# overhead budget check.
-bench-report-admission:
-	$(GO) run ./cmd/lirabench -admission -admissionjson BENCH_PR7.json
-
-# Regenerate the span-tracing overhead artifact: the same run at four
-# arming levels (no hub, hub only, 1-in-8 sampled, fully traced) plus
-# the output-identity and export-determinism verdicts.
-bench-report-spans:
-	$(GO) run ./cmd/lirabench -spansoverhead -spansjson BENCH_PR8.json
+# Alias of bench-report-measured (the name the README's policy section
+# uses): it writes BENCH_PR10.json, not the frozen BENCH_PR5.json.
+bench-report-policy: bench-report-measured
 
 # Regenerate the capacity-plan artifact: the default K × z × policy grid
 # over the full scenario catalog against the default SLO.

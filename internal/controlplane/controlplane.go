@@ -58,8 +58,8 @@ type StatsSource interface {
 }
 
 // RateSource supplies the (λ, μ) window measurement THROTLOOP feeds on,
-// resetting the window. The unsharded server's bounded queue and the
-// sharded server's summed ring counters both satisfy it.
+// resetting the window. Both engines admit through one queue.Bounded
+// (cqserver.Intake), and that queue is the source at every shard count.
 type RateSource interface {
 	Rates(window float64) (lambda, mu float64)
 }

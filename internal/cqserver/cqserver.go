@@ -466,8 +466,8 @@ type EngineInfo struct {
 	Engine string `json:"engine"`
 	// Shards is the shard count (1 for the unsharded server).
 	Shards int `json:"shards"`
-	// QueueLen and QueueCap describe the input queue (summed/min across
-	// shards when sharded).
+	// QueueLen and QueueCap describe the input queue: one queue.Bounded
+	// at any shard count, so both are exact, not per-shard aggregates.
 	QueueLen int `json:"queue_len"`
 	QueueCap int `json:"queue_cap"`
 	// Dropped and Applied count shed and integrated updates.

@@ -895,7 +895,7 @@ func (s *Server) backgroundLoop() {
 		// construction) — and walk the degradation ladder. A rung change
 		// re-runs the adaptation immediately so nodes hear the new clamped
 		// z this tick, not an AdaptEvery later. The sample runs under the
-		// mutex because the unsharded engine's queue is mutex-guarded.
+		// mutex: both engines' one queue.Bounded is serialised by s.mu.
 		rungChanged := false
 		if s.adm != nil {
 			sp := root.Child("admission_observe", "netsvc")
@@ -957,7 +957,7 @@ func (s *Server) backgroundLoop() {
 // goroutine census, the Evaluate p99 read from the shared latency
 // histogram, and the most recent GC pause. Tests override the whole
 // sampler via ServerConfig.AdmissionSample for deterministic traces.
-// Callers hold s.mu (the unsharded engine's queue is mutex-guarded).
+// Callers hold s.mu (it serialises the queue.Bounded both engines share).
 func (s *Server) sampleSignals() admission.Signals {
 	if s.cfg.AdmissionSample != nil {
 		return s.cfg.AdmissionSample()

@@ -81,7 +81,7 @@ func (c *FlashCrowdConfig) fillDefaults(space geo.Rect) {
 // pulled toward the hotspot as the crowd phase progresses) or a roamer.
 // All state is derived from the seed, so two generators with identical
 // configs emit byte-identical update sequences — the reproducibility
-// contract the admission chaos tests and BENCH_PR7 lean on.
+// contract the admission chaos tests and the capacity planner lean on.
 type FlashCrowd struct {
 	cfg     FlashCrowdConfig
 	space   geo.Rect

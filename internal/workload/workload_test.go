@@ -142,7 +142,7 @@ func TestDistributionString(t *testing.T) {
 
 // TestFlashCrowdDeterministic: two generators with equal configs emit
 // byte-identical report sequences — the reproducibility contract the
-// admission chaos runs and BENCH_PR7 lean on.
+// admission chaos runs and the capacity planner lean on.
 func TestFlashCrowdDeterministic(t *testing.T) {
 	space := geo.Rect{MinX: 0, MinY: 0, MaxX: 1000, MaxY: 1000}
 	cfg := FlashCrowdConfig{Nodes: 50, Seed: 7}

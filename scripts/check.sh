@@ -33,6 +33,23 @@ if [ -n "$bad" ]; then
 fi
 echo "wiring single-homed"
 
+# An engine is constructed only by the packages that define one, the
+# factory, and the three loops that drive one: the netsvc tick,
+# experiment.Run and plan.Simulate (plus the facade and the socket
+# benchmark's traced pass). A hit anywhere else is a fourth hand-written
+# ingest -> drain -> evaluate -> adapt loop.
+bad="$(grep -rn --include='*.go' -e 'engine\.New(' -e 'shard\.New(' -e 'cqserver\.New(' . \
+	| grep -v '_test\.go' \
+	| grep -v -e '^\./internal/engine/' -e '^\./internal/shard/' -e '^\./internal/cqserver/' \
+		-e '^\./internal/netsvc/' -e '^\./internal/experiment/' -e '^\./internal/plan/' \
+		-e '^\./lira\.go' -e '^\./bench/' || true)"
+if [ -n "$bad" ]; then
+	echo "engine constructed outside the three drive loops:" >&2
+	echo "$bad" >&2
+	exit 1
+fi
+echo "three drive loops"
+
 echo "== package docs (every package must carry a doc comment) =="
 missing="$(go list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./...)"
 if [ -n "$missing" ]; then
@@ -65,14 +82,8 @@ go test -race -count 1 -run 'Chaos|LossDegrades|Reconnect|ClientErr|Overflow|Dra
 echo "== bench smoke (Fig04, 1 iteration) =="
 go test -run '^$' -bench Fig04 -benchtime 1x .
 
-echo "== shard smoke (K sweep, byte-identical results enforced) =="
-go run ./cmd/lirabench -shards 1,4 -nodes 400 -duration 40
-
 echo "== policy smoke (measured policy comparison, one seed) =="
 go run ./cmd/lirabench -policy -nodes 600 -duration 60
-
-echo "== saturate smoke (tiny ramp; schema + monotone offered rates) =="
-sh scripts/saturate_smoke.sh
 
 echo "== telemetry smoke (introspection endpoints + zero-diff sim) =="
 sh scripts/obs_smoke.sh
