@@ -14,9 +14,8 @@ check:
 # Short adversarial pass over every wire decoder and the frame reader:
 # malformed input must error, never panic or over-allocate. `go test`
 # accepts a single -fuzz target at a time, hence the loop.
-FUZZ_TARGETS := FuzzDecodeHello FuzzDecodeUpdate FuzzDecodeAssignment \
-	FuzzDecodeQuery FuzzDecodeResult FuzzDecodePing FuzzDecodeUpdateBatch \
-	FuzzReadFrame
+FUZZ_TARGETS := FuzzDecodeHello FuzzDecodeAssignment FuzzDecodeQuery \
+	FuzzDecodeResult FuzzDecodePing FuzzDecodeUpdateBatch FuzzReadFrame
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

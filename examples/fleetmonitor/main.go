@@ -1,7 +1,7 @@
 // Fleetmonitor: closed-loop overload control with THROTLOOP. A logistics
 // fleet reports positions to an under-provisioned server whose input queue
-// can only absorb a fraction of the full update stream. Without shedding,
-// the queue overflows and updates are dropped at random. With THROTLOOP
+// can only absorb a fraction of the full update stream. Without source
+// shedding the queue overflows and sheds its oldest reports. With THROTLOOP
 // the server measures its utilization each period, lowers the throttle
 // fraction z, and re-runs the LIRA adaptation — the update stream shrinks
 // at the source until the queue stabilizes.
@@ -75,10 +75,10 @@ func main() {
 	for i := range nodes {
 		nodes[i] = lira.NewNode(i)
 		nodes[i].Install(0, policy)
-		srv.Ingest(lira.Update{Node: i, Report: nodes[i].Start(pos[i], vel[i], 60)})
+		srv.IngestShedOldest(lira.Update{Node: i, Report: nodes[i].Start(pos[i], vel[i], 60)})
 	}
 
-	fmt.Println("period |     z | offered/s | served/s | dropped | queue")
+	fmt.Println("period |     z | offered/s | served/s |    shed | queue")
 	fmt.Println("-------+-------+-----------+----------+---------+------")
 	lastDropped := srv.Queue().Dropped()
 	for p := 1; p <= 8; p++ {
@@ -89,7 +89,7 @@ func main() {
 			pos, vel = fleet.Positions(), fleet.Velocities()
 			for i, nd := range nodes {
 				if rep, send := nd.Observe(pos[i], vel[i], now, curve.MinDelta()); send {
-					srv.Ingest(lira.Update{Node: i, Report: rep})
+					srv.IngestShedOldest(lira.Update{Node: i, Report: rep})
 					offered++
 				}
 			}
@@ -97,7 +97,7 @@ func main() {
 			n := srv.Drain(serviceRate)
 			srv.Queue().ObserveBusy(float64(n) / serviceRate)
 		}
-		dropped := srv.Queue().Dropped() - lastDropped
+		shed := srv.Queue().Dropped() - lastDropped
 		lastDropped = srv.Queue().Dropped()
 		served := srv.Queue().Served()
 
@@ -112,10 +112,10 @@ func main() {
 		}
 		_ = served
 		fmt.Printf("%6d | %.3f | %9.1f | %8d | %7d | %5d\n",
-			p, ad.Z, float64(offered)/period, serviceRate, dropped, srv.Queue().Len())
+			p, ad.Z, float64(offered)/period, serviceRate, shed, srv.Queue().Len())
 	}
 	fmt.Println("\nthe throttle fraction settles where the offered load matches the")
-	fmt.Println("service rate and queue drops collapse — shedding moved from the")
+	fmt.Println("service rate and queue sheds collapse — shedding moved from the")
 	fmt.Println("server's input queue to the vehicles themselves.")
 }
 

@@ -121,9 +121,8 @@ type serverTelemetry struct {
 	gridNodes   *telemetry.Gauge // lira_statgrid_nodes
 	gridQueries *telemetry.Gauge // lira_statgrid_queries
 
-	applied       *telemetry.Counter // lira_updates_applied_total
-	evals         *telemetry.Counter // lira_evaluations_total
-	degradedEvals *telemetry.Counter // lira_evaluate_degraded_total
+	applied *telemetry.Counter // lira_updates_applied_total
+	evals   *telemetry.Counter // lira_evaluations_total
 }
 
 func newServerTelemetry(hub *telemetry.Hub) *serverTelemetry {
@@ -132,15 +131,14 @@ func newServerTelemetry(hub *telemetry.Hub) *serverTelemetry {
 	}
 	r := hub.Registry
 	return &serverTelemetry{
-		hub:           hub,
-		evalHist:      r.Histogram("lira_evaluate_seconds", nil),
-		predictHist:   r.Histogram("lira_evaluate_predict_seconds", nil),
-		scanHist:      r.Histogram("lira_evaluate_scan_seconds", nil),
-		gridNodes:     r.Gauge("lira_statgrid_nodes"),
-		gridQueries:   r.Gauge("lira_statgrid_queries"),
-		applied:       r.Counter("lira_updates_applied_total"),
-		evals:         r.Counter("lira_evaluations_total"),
-		degradedEvals: r.Counter("lira_evaluate_degraded_total"),
+		hub:         hub,
+		evalHist:    r.Histogram("lira_evaluate_seconds", nil),
+		predictHist: r.Histogram("lira_evaluate_predict_seconds", nil),
+		scanHist:    r.Histogram("lira_evaluate_scan_seconds", nil),
+		gridNodes:   r.Gauge("lira_statgrid_nodes"),
+		gridQueries: r.Gauge("lira_statgrid_queries"),
+		applied:     r.Counter("lira_updates_applied_total"),
+		evals:       r.Counter("lira_evaluations_total"),
 	}
 }
 
@@ -327,7 +325,8 @@ func (s *Server) ObserveStatistics(positions []geo.Point, speeds []float64) {
 // byte-identical at any worker count.
 func (s *Server) Evaluate(now float64) [][]int {
 	if s.degradedEval {
-		return s.evaluateDegraded(now)
+		EvaluateDegraded(s.table, s.cfg.Space, s.queries, s.results, now, s.cfg.Telemetry)
+		return s.results
 	}
 	// Wall-clock stamps are taken only with telemetry attached; durations
 	// feed latency histograms and never the simulation state, preserving
@@ -392,7 +391,7 @@ func (s *Server) scanRange(_, lo, hi int) {
 }
 
 // SetDegradedEval switches Evaluate to prediction-only mode (see
-// evaluateDegraded). Single-caller, like Evaluate.
+// EvaluateDegraded). Single-caller, like Evaluate.
 func (s *Server) SetDegradedEval(on bool) { s.degradedEval = on }
 
 // SetCompactionDeferred is a no-op on the unsharded server: its index is
@@ -401,38 +400,42 @@ func (s *Server) SetDegradedEval(on bool) { s.degradedEval = on }
 // seam.
 func (s *Server) SetCompactionDeferred(bool) {}
 
-// evaluateDegraded is the critical-rung Evaluate: each query's previous
-// members are re-tested against the query rect at their dead-reckoned
-// positions — departures drop out, but no index rebuild and no scans run,
-// so no new entrants are discovered. Accuracy degrades (results can only
-// shrink between normal rounds); availability and result ordering do not.
-// The containment test (clamped prediction, closed rect) matches the
-// index scan's exactly, and ascending id order is preserved by in-place
-// filtering, so the path answers bit-identically to a full evaluation
-// whenever no node entered a query since the last normal round — and both
-// engines produce identical degraded results over the same prior results.
-func (s *Server) evaluateDegraded(now float64) [][]int {
+// EvaluateDegraded is the critical-rung Evaluate, shared by both engines:
+// each query's previous members are re-tested against the query rect at
+// their dead-reckoned positions — departures drop out, but no index work
+// and no scans run, so no new entrants are discovered. Accuracy degrades
+// (results can only shrink between normal rounds); availability and
+// result ordering do not. The containment test (clamped prediction,
+// closed rect) matches the index scans' exactly, and ascending id order
+// is preserved by filtering results in place, so the path answers
+// bit-identically to a full evaluation whenever no node entered a query
+// since the last normal round. It reads only the motion table, which is
+// why the engines agree on it whatever their index and residency state.
+//
+// hub may be nil. The metrics are resolved by name per call rather than
+// held pre-resolved: this runs once per tick and only at the critical
+// rung.
+func EvaluateDegraded(table *motion.Table, space geo.Rect, queries []geo.Rect, results [][]int, now float64, hub *telemetry.Hub) {
 	var t0 time.Time
-	if s.tel != nil {
+	if hub != nil {
 		t0 = time.Now()
 	}
-	for qi := range s.results {
-		q := s.queries[qi]
-		ids := s.results[qi]
+	for qi, ids := range results {
+		q := queries[qi]
 		kept := ids[:0]
 		for _, id := range ids {
-			if p, ok := s.table.Predict(id, now); ok && q.ContainsClosed(s.cfg.Space.ClampPoint(p)) {
+			if p, ok := table.Predict(id, now); ok && q.ContainsClosed(space.ClampPoint(p)) {
 				kept = append(kept, id)
 			}
 		}
-		s.results[qi] = kept
+		results[qi] = kept
 	}
-	if s.tel != nil {
-		s.tel.evalHist.Observe(time.Since(t0).Seconds())
-		s.tel.evals.Inc()
-		s.tel.degradedEvals.Inc()
+	if hub != nil {
+		r := hub.Registry
+		r.Histogram("lira_evaluate_seconds", nil).Observe(time.Since(t0).Seconds())
+		r.Counter("lira_evaluations_total").Inc()
+		r.Counter("lira_evaluate_degraded_total").Inc()
 	}
-	return s.results
 }
 
 // PredictedPosition returns the server's belief about a node's position.

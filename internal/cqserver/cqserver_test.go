@@ -53,8 +53,8 @@ func TestDefaultsApplied(t *testing.T) {
 func TestIngestDrainApply(t *testing.T) {
 	s := testServer(t)
 	rep := motion.Report{Pos: geo.Point{X: 10, Y: 10}, Vel: geo.Vector{X: 1, Y: 0}, Time: 0}
-	if !s.Ingest(Update{Node: 3, Report: rep}) {
-		t.Fatal("Ingest failed on empty queue")
+	if s.IngestShedOldest(Update{Node: 3, Report: rep}) {
+		t.Fatal("IngestShedOldest shed on an empty queue")
 	}
 	if s.Table().Known(3) {
 		t.Error("queued update should not be applied yet")
@@ -78,7 +78,7 @@ func TestIngestDrainApply(t *testing.T) {
 func TestDrainLimit(t *testing.T) {
 	s := testServer(t)
 	for i := 0; i < 10; i++ {
-		s.Ingest(Update{Node: i, Report: motion.Report{}})
+		s.IngestShedOldest(Update{Node: i, Report: motion.Report{}})
 	}
 	if got := s.Drain(4); got != 4 {
 		t.Fatalf("Drain(4) = %d", got)
@@ -187,7 +187,7 @@ func TestAdaptAutoUsesThrotloop(t *testing.T) {
 	s.ObserveStatistics(pos, speeds)
 	// Simulate an overloaded window: many arrivals, slow service.
 	for i := 0; i < 500; i++ {
-		s.Ingest(Update{Node: i % 100, Report: motion.Report{}})
+		s.IngestShedOldest(Update{Node: i % 100, Report: motion.Report{}})
 		s.Drain(1)
 	}
 	s.Queue().ObserveBusy(10) // 500 served in 10 busy-seconds → μ=50, λ=50/s over window
@@ -216,7 +216,7 @@ func TestHistoryCapture(t *testing.T) {
 		t.Fatal("history enabled but nil")
 	}
 	s.Apply(Update{Node: 2, Report: motion.Report{Pos: geo.Point{X: 100, Y: 100}, Time: 5}})
-	s.Ingest(Update{Node: 2, Report: motion.Report{Pos: geo.Point{X: 200, Y: 100}, Time: 15}})
+	s.IngestShedOldest(Update{Node: 2, Report: motion.Report{Pos: geo.Point{X: 200, Y: 100}, Time: 15}})
 	s.Drain(-1)
 	p, ok := s.History().PositionAt(2, 10)
 	if !ok || p != (geo.Point{X: 100, Y: 100}) {

@@ -9,10 +9,11 @@ import (
 
 // Intake is the engine's admission side: the paper's single bounded input
 // queue of size B, its drop/arrival accounting, and the queue telemetry.
-// Both engines embed it, so admission — scalar and columnar — and the
-// record-conservation counters exist once; the engines differ only in
-// what Drain does with the records Serve hands back. The queue is also
-// the control plane's rate source (λ, μ), exposed through Queue.
+// Both engines embed it, so admission — the columnar primitive and its
+// scalar helper, both shed-oldest — and the record-conservation counters
+// exist once; the engines differ only in what Drain does with the
+// records Serve hands back. The queue is also the control plane's rate
+// source (λ, μ), exposed through Queue.
 //
 // Intake is single-caller, like the queue it wraps: the network layer
 // serialises producers under its mutex.
@@ -50,13 +51,6 @@ func (in *Intake) observe() {
 
 // Queue exposes the input queue for rate accounting.
 func (in *Intake) Queue() *queue.Bounded[Update] { return in.input }
-
-// Ingest offers an update to the input queue; a full queue drops it.
-func (in *Intake) Ingest(u Update) bool {
-	ok := in.input.Offer(u)
-	in.observe()
-	return ok
-}
 
 // IngestShedOldest enqueues an update, shedding the oldest on overflow to
 // make room for the freshest; the flag reports whether a shed happened.

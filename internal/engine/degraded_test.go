@@ -32,8 +32,8 @@ func TestDegradedEvalEnginesAgree(t *testing.T) {
 		w := newWorkload(seed, cfg.Nodes)
 		feed := func(ups []cqserver.Update) {
 			for _, u := range ups {
-				un.Ingest(u)
-				sh.Ingest(u)
+				un.IngestShedOldest(u)
+				sh.IngestShedOldest(u)
 			}
 			un.Drain(-1)
 			sh.Drain(-1)
@@ -108,10 +108,10 @@ func TestCompactionDeferral(t *testing.T) {
 	for step := 0; step < 30; step++ {
 		now := float64(step)
 		for _, u := range w1.step(now) {
-			normal.Ingest(u)
+			normal.IngestShedOldest(u)
 		}
 		for _, u := range w2.step(now) {
-			deferred.Ingest(u)
+			deferred.IngestShedOldest(u)
 		}
 		normal.Drain(-1)
 		deferred.Drain(-1)
@@ -124,7 +124,7 @@ func TestCompactionDeferral(t *testing.T) {
 	deferred.SetCompactionDeferred(false)
 	now := 31.0
 	for _, u := range w2.step(now) {
-		deferred.Ingest(u)
+		deferred.IngestShedOldest(u)
 	}
 	deferred.Drain(-1)
 	deferred.Evaluate(now) // must not panic with maintenance re-enabled

@@ -194,7 +194,7 @@ func TestControlPlaneMatchesLegacyPipeline(t *testing.T) {
 			for tick := 1; tick <= ticks; tick++ {
 				now := float64(tick)
 				for _, u := range w.step(now) {
-					if !cand.Ingest(u) || !ref.Ingest(u) {
+					if cand.IngestShedOldest(u) || ref.IngestShedOldest(u) {
 						t.Fatalf("seed %d shards %d: overflow in no-overflow regime", seed, shards)
 					}
 				}
@@ -271,7 +271,7 @@ func TestShardK1MatchesCqserver(t *testing.T) {
 	for tick := 1; tick <= ticks; tick++ {
 		now := float64(tick)
 		for _, u := range w.step(now) {
-			if !un.Ingest(u) || !sh.Ingest(u) {
+			if un.IngestShedOldest(u) || sh.IngestShedOldest(u) {
 				t.Fatalf("overflow at tick %d", tick)
 			}
 		}
@@ -320,7 +320,7 @@ func TestPoliciesAgreeAcrossEngines(t *testing.T) {
 		for tick := 1; tick <= ticks; tick++ {
 			now := float64(tick)
 			for _, u := range w.step(now) {
-				eng.Ingest(u)
+				eng.IngestShedOldest(u)
 			}
 			eng.Drain(-1)
 			eng.ObserveStatistics(w.pos, w.speeds)

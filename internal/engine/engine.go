@@ -39,18 +39,17 @@ type Engine interface {
 	// Queries returns the registered queries.
 	Queries() []geo.Rect
 
-	// Ingest offers an update; a full queue drops it (drop-newest).
-	Ingest(u cqserver.Update) bool
-	// IngestShedOldest enqueues an update, shedding the oldest on
-	// overflow; the flag reports whether a shed happened.
-	IngestShedOldest(u cqserver.Update) bool
-	// IngestShedOldestColumns is the vectored IngestShedOldest the
-	// batched wire format feeds: records arrive as the parallel column
-	// slices a decoded wire batch already holds (all equal length) and
-	// survivors scatter straight into queue slots. It returns how many
-	// entries were shed; a batch of n counts exactly n arrivals —
-	// identical to n IngestShedOldest calls.
+	// IngestShedOldestColumns is the admission primitive, and the one
+	// the wire feeds: records arrive as the parallel column slices a
+	// decoded update batch already holds (all equal length) and survivors
+	// scatter straight into queue slots; on overflow the oldest queued
+	// records are shed to admit the freshest. It returns how many were
+	// shed; a batch of n counts exactly n arrivals.
 	IngestShedOldestColumns(nodes []uint32, xs, ys, vxs, vys, times []float64) int
+	// IngestShedOldest is the scalar helper over the same policy — one
+	// record, identical accounting — for callers that produce reports
+	// one at a time (plan.Simulate). The flag reports a shed.
+	IngestShedOldest(u cqserver.Update) bool
 	// Apply installs an update directly, bypassing the queue (the
 	// harness's infinitely provisioned reference path).
 	Apply(u cqserver.Update)

@@ -47,7 +47,7 @@ func TestBatchedWirePathMatchesDirect(t *testing.T) {
 					batch.Reset()
 					for _, u := range w.step(now) {
 						qu := cqserver.Update{Node: u.Node, Report: wire.QuantizeReport(u.Report)}
-						if !ref.Ingest(qu) {
+						if ref.IngestShedOldest(qu) {
 							t.Fatal("reference overflow in no-overflow regime")
 						}
 						batch.Append(wire.Update{Node: uint32(u.Node), Report: u.Report})
@@ -174,7 +174,7 @@ func TestSoALayoutMatchesAoSReference(t *testing.T) {
 				for tick := 1; tick <= ticks; tick++ {
 					now := float64(tick)
 					for _, u := range w.step(now) {
-						if !eng.Ingest(u) {
+						if eng.IngestShedOldest(u) {
 							t.Fatal("overflow in no-overflow regime")
 						}
 						oracle.apply(u)

@@ -16,6 +16,7 @@ import (
 	"lira/internal/motion"
 	"lira/internal/rng"
 	"lira/internal/shard"
+	"lira/internal/spans"
 	"lira/internal/telemetry"
 	"lira/internal/wire"
 )
@@ -316,6 +317,9 @@ func TestLossDegradesGracefully(t *testing.T) {
 				if _, err := c.Observe(p, geo.Vector{}, clk.Now()); err != nil {
 					t.Fatalf("loss=%v step %d: %v", loss, step, err)
 				}
+				// One frame per report: loss then acts on reports, not on
+				// however many the flusher happened to coalesce.
+				c.flushPending()
 			}
 		}
 		// Let the background loop drain what arrived, then snapshot.
@@ -470,6 +474,15 @@ func TestReconnectRestoresAssignment(t *testing.T) {
 	}
 }
 
+// ingestOne offers a single report the way a one-record frame would.
+// No node is camped in the tests that use it, so no hand-off frame is
+// sent and the connection may be nil.
+func ingestOne(s *Server, u wire.Update) {
+	var b wire.UpdateBatch
+	b.Append(u)
+	s.ingestBatch(nil, &b, spans.Ctx{})
+}
+
 // TestQueueOverflowShedsOldestFirst covers the server's overflow path: a
 // saturated input queue sheds oldest-first, bumps the overflow counter,
 // and the drained survivors are exactly the freshest reports.
@@ -493,7 +506,7 @@ func TestQueueOverflowShedsOldestFirst(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 12; i++ {
-		s.ingest(nil, wire.Update{
+		ingestOne(s, wire.Update{
 			Node:   uint32(i),
 			Report: motion.Report{Pos: geo.Point{X: float64(10 * i), Y: 5}, Time: float64(i)},
 		})
@@ -541,7 +554,7 @@ func TestDrainPerTickBound(t *testing.T) {
 
 	const n = 30
 	for i := 0; i < n; i++ {
-		s.ingest(nil, wire.Update{
+		ingestOne(s, wire.Update{
 			Node:   uint32(i),
 			Report: motion.Report{Pos: geo.Point{X: float64(i), Y: 1}, Time: float64(i)},
 		})
@@ -583,9 +596,9 @@ func TestWallClockMonotone(t *testing.T) {
 }
 
 // TestShardedOverflowLambdaOnce is the netsvc end of the λ double-count
-// audit: update frames funnelled into the sharded engine count exactly
-// one arrival each — never one per shed — and overflow sheds surface in both ShedFrames and the
-// engine's drop accounting.
+// audit: records funnelled into the sharded engine count exactly one
+// arrival each — never one per shed — and overflow sheds surface in both
+// ShedFrames and the engine's drop accounting.
 func TestShardedOverflowLambdaOnce(t *testing.T) {
 	clk := &fakeClock{}
 	s, err := Listen("127.0.0.1:0", ServerConfig{
@@ -609,7 +622,7 @@ func TestShardedOverflowLambdaOnce(t *testing.T) {
 	sh := s.eng.(*shard.Server)
 	const frames = 40
 	for i := 0; i < frames; i++ {
-		s.ingest(nil, wire.Update{
+		ingestOne(s, wire.Update{
 			Node: uint32(i % 16),
 			// x walks the full space, spreading load over all four bands.
 			Report: motion.Report{Pos: geo.Point{X: float64(i%16) * 125, Y: 5}, Time: float64(i)},

@@ -13,6 +13,7 @@ import (
 	"lira/internal/geo"
 	"lira/internal/metrics"
 	"lira/internal/mobilenode"
+	"lira/internal/motion"
 	"lira/internal/rng"
 	"lira/internal/telemetry"
 	"lira/internal/wire"
@@ -37,13 +38,13 @@ const (
 	defaultBackoffMax  = 2 * time.Second
 )
 
-// Client-side batching defaults: a pending batch is flushed when it
-// reaches defaultBatchSize records or when defaultBatchFlush elapses,
-// whichever comes first. The flush interval bounds the extra latency
-// batching adds to any single report.
+// Client-side batching: the pending batch is flushed when it reaches
+// batchSize records or when batchFlushEvery elapses, whichever comes
+// first. The flush interval bounds the extra latency batching adds to any
+// single report.
 const (
-	defaultBatchSize  = 64
-	defaultBatchFlush = 5 * time.Millisecond
+	batchSize       = 64
+	batchFlushEvery = 5 * time.Millisecond
 )
 
 // linkConfig is the fault-tolerance parameter set shared by both client
@@ -363,17 +364,6 @@ type NodeConfig struct {
 	MaxAttempts int
 	// DisableReconnect makes the first link error terminal.
 	DisableReconnect bool
-	// BatchSize is the pending-update count that forces a flush (0 → 64).
-	// Batching only engages after the server advertises support in its
-	// Hello ack; until then (and against pre-batch servers forever) the
-	// flusher drains pending reports as per-update frames.
-	BatchSize int
-	// BatchFlushEvery bounds how long a report may sit in the pending
-	// batch before a time-based flush (0 → 5ms, <0 flushes on size only).
-	BatchFlushEvery time.Duration
-	// DisableBatch restores the pre-batching behavior: every report is
-	// written as its own Update frame from Observe.
-	DisableBatch bool
 	// Seed drives the deterministic backoff jitter; 0 derives one from ID.
 	Seed uint64
 	// Counters receives degradation accounting; nil allocates a private
@@ -406,13 +396,8 @@ type NodeClient struct {
 	lastPos geo.Point
 	lost    int64
 
-	// Batching state (guarded by mu): pending accumulates quantized
-	// reports between flushes; batchOK is set by the server's capability
-	// Hello ack and cleared on every link loss, so a reconnect through a
-	// downgraded proxy — or to an older server — degrades to per-update
-	// frames instead of sending frames the peer would drop.
+	// pending accumulates reports between flushes (guarded by mu).
 	pending wire.UpdateBatch
-	batchOK bool
 
 	// flushMu serializes flushes; frameBuf is the flush-owned encode
 	// buffer, reused so a steady-state flush allocates nothing.
@@ -438,15 +423,6 @@ func DialNodeConfig(addr string, cfg NodeConfig) (*NodeClient, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = uint64(cfg.ID)*0x9e3779b97f4a7c15 + 1
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = defaultBatchSize
-	}
-	if cfg.BatchSize > wire.MaxBatch {
-		cfg.BatchSize = wire.MaxBatch
-	}
-	if cfg.BatchFlushEvery == 0 {
-		cfg.BatchFlushEvery = defaultBatchFlush
 	}
 	lc := linkConfig{
 		dialer:         cfg.Dialer,
@@ -493,21 +469,18 @@ func DialNodeConfig(addr string, cfg NodeConfig) (*NodeClient, error) {
 	}
 	c.link = newLink(lc, conn)
 	c.lastPos = cfg.Pos
-	c.wg.Add(2)
+	c.wg.Add(3)
 	go c.run(conn)
 	go func() {
 		defer c.wg.Done()
 		c.link.heartbeatLoop()
 	}()
-	if !cfg.DisableBatch && cfg.BatchFlushEvery > 0 {
-		c.wg.Add(1)
-		go c.flushLoop()
-	}
+	go c.flushLoop()
 	return c, nil
 }
 
 // flushLoop is the time-based half of the batching policy: it drains the
-// pending batch every BatchFlushEvery so a lone report never waits on the
+// pending batch every batchFlushEvery so a lone report never waits on the
 // size trigger. It exits with the link (Close waits for it), so a stopped
 // client leaks no flusher goroutine.
 func (c *NodeClient) flushLoop() {
@@ -516,7 +489,7 @@ func (c *NodeClient) flushLoop() {
 	// mirroring the server loops' lira_phase labels.
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
 		pprof.Labels("lira_phase", "flush")))
-	ticker := time.NewTicker(c.cfg.BatchFlushEvery)
+	ticker := time.NewTicker(batchFlushEvery)
 	defer ticker.Stop()
 	for {
 		select {
@@ -528,12 +501,8 @@ func (c *NodeClient) flushLoop() {
 	}
 }
 
-// flushPending drains the pending batch: one vectored UpdateBatch frame
-// when the server advertised batch support, per-update frames otherwise
-// (pre-batch servers, or before the capability ack arrives). Either way
-// the pending buffer always empties — reports never rot in a client
-// whose server speaks the old protocol. A failed batch write loses the
-// whole batch; every lost report is counted.
+// flushPending writes the pending batch as one UpdateBatch frame. A
+// failed write loses the whole batch; every lost report is counted.
 func (c *NodeClient) flushPending() {
 	c.flushMu.Lock()
 	defer c.flushMu.Unlock()
@@ -543,32 +512,15 @@ func (c *NodeClient) flushPending() {
 		c.mu.Unlock()
 		return
 	}
-	if c.batchOK {
-		c.frameBuf = wire.AppendUpdateBatch(c.frameBuf[:0], &c.pending)
-		c.pending.Reset()
-		frame := c.frameBuf // flushMu keeps the buffer ours until WriteFrame returns
-		c.mu.Unlock()
-		if err := c.link.send(frame); err != nil && err != ErrClosed {
-			c.link.cfg.counters.LostUpdates.Add(int64(n))
-			c.mu.Lock()
-			c.lost += int64(n)
-			c.mu.Unlock()
-		}
-		return
-	}
-	frames := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		frames = append(frames, wire.AppendUpdate(nil, c.pending.Update(i)))
-	}
+	c.frameBuf = wire.AppendUpdateBatch(c.frameBuf[:0], &c.pending)
 	c.pending.Reset()
+	frame := c.frameBuf // flushMu keeps the buffer ours until WriteFrame returns
 	c.mu.Unlock()
-	for _, frame := range frames {
-		if err := c.link.send(frame); err != nil && err != ErrClosed {
-			c.link.cfg.counters.LostUpdates.Add(1)
-			c.mu.Lock()
-			c.lost++
-			c.mu.Unlock()
-		}
+	if err := c.link.send(frame); err != nil && err != ErrClosed {
+		c.link.cfg.counters.LostUpdates.Add(int64(n))
+		c.mu.Lock()
+		c.lost += int64(n)
+		c.mu.Unlock()
 	}
 }
 
@@ -584,13 +536,11 @@ func (c *NodeClient) run(conn net.Conn) {
 		}
 		c.link.cfg.counters.Disconnects.Add(1)
 		c.link.cfg.recordNet("disconnect", "read")
-		// Graceful degradation: revert to Δ⊢ until resync, force a fresh
-		// full report on the next Observe after reconnecting, and forget
-		// the batch capability — it is renegotiated per connection.
+		// Graceful degradation: revert to Δ⊢ until resync, and force a
+		// fresh full report on the next Observe after reconnecting.
 		c.mu.Lock()
 		c.node.Drop()
 		c.started = false
-		c.batchOK = false
 		c.mu.Unlock()
 		if !c.link.cfg.reconnect {
 			return
@@ -641,16 +591,6 @@ func (c *NodeClient) readLoop(conn net.Conn) error {
 			c.mu.Lock()
 			c.node.Install(int(wa.Station), compiled)
 			c.mu.Unlock()
-		case wire.TypeHello:
-			// Capability ack: a v2 server advertising batch support. A
-			// malformed ack is ignored rather than fatal — the client just
-			// stays on per-update frames, which every server accepts.
-			if h, err := wire.DecodeHello(payload); err == nil &&
-				h.Version >= wire.HelloV2 && h.Flags&wire.HelloFlagBatch != 0 {
-				c.mu.Lock()
-				c.batchOK = true
-				c.mu.Unlock()
-			}
 		case wire.TypePong:
 			// Liveness: the read deadline was refreshed above.
 		default:
@@ -660,59 +600,36 @@ func (c *NodeClient) readLoop(conn net.Conn) error {
 }
 
 // Observe feeds the node's true state at time t. When dead reckoning
-// demands a report, it is transmitted (enqueued onto the pending batch
-// in the default batching mode, where it leaves within BatchFlushEvery
-// or as soon as BatchSize reports accumulate); the result says whether
-// one was generated. While the link is down the report is counted as
-// lost and the node keeps dead-reckoning at the fallback threshold —
-// reconnection re-announces the position and rebases the server with a
-// fresh full report, so the loss is bounded, never silent.
+// demands a report, it is enqueued onto the pending batch, which leaves
+// within batchFlushEvery or as soon as batchSize reports accumulate; the
+// result says whether one was generated. While the link is down the
+// flush counts the report as lost and the node keeps dead-reckoning at
+// the fallback threshold — reconnection re-announces the position and
+// rebases the server with a fresh full report, so the loss is bounded,
+// never silent.
 func (c *NodeClient) Observe(pos geo.Point, vel geo.Vector, t float64) (sent bool, err error) {
 	if c.link.isClosed() {
 		return false, ErrClosed
 	}
 	c.mu.Lock()
 	c.lastPos = pos
-	var u wire.Update
-	have := false
+	var rep motion.Report
+	send := true
 	if !c.started {
-		u = wire.Update{Node: c.cfg.ID, Report: c.node.Start(pos, vel, t)}
+		rep = c.node.Start(pos, vel, t)
 		c.started = true
-		have = true
-	} else if rep, send := c.node.Observe(pos, vel, t, c.cfg.FallbackDelta); send {
-		u = wire.Update{Node: c.cfg.ID, Report: rep}
-		have = true
+	} else {
+		rep, send = c.node.Observe(pos, vel, t, c.cfg.FallbackDelta)
 	}
-	if !have {
+	if !send {
 		c.mu.Unlock()
 		return false, nil
 	}
-	if !c.cfg.DisableBatch {
-		// Batching mode: enqueue (quantizing to the wire's fixed-point
-		// grid) and let the size trigger or the flusher transmit. The
-		// pending buffer always drains — flushPending falls back to
-		// per-update frames when the server never advertised batching.
-		c.pending.Append(u)
-		full := c.pending.Len() >= c.cfg.BatchSize
-		c.mu.Unlock()
-		if full {
-			c.flushPending()
-		}
-		return true, nil
-	}
-	frame := wire.AppendUpdate(nil, u)
+	c.pending.Append(wire.Update{Node: c.cfg.ID, Report: rep})
+	full := c.pending.Len() >= batchSize
 	c.mu.Unlock()
-	if err := c.link.send(frame); err != nil {
-		if err == ErrClosed {
-			return true, ErrClosed
-		}
-		// Link down or write failed: the run loop reconnects; the report
-		// itself is lost, which the counters make visible.
-		c.link.cfg.counters.LostUpdates.Add(1)
-		c.mu.Lock()
-		c.lost++
-		c.mu.Unlock()
-		return true, nil
+	if full {
+		c.flushPending()
 	}
 	return true, nil
 }
@@ -762,9 +679,7 @@ func (c *NodeClient) Err() error { return c.link.err() }
 // returns the link's terminal error so callers can distinguish clean
 // shutdown (nil) from a failed link.
 func (c *NodeClient) Close() error {
-	if !c.cfg.DisableBatch {
-		c.flushPending()
-	}
+	c.flushPending()
 	if conn := c.link.closeLink(); conn != nil {
 		conn.Close()
 	}

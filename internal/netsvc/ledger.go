@@ -5,7 +5,7 @@ package netsvc
 //
 //	offered == invalid + preshed + applied + ringshed + queued + in-flight
 //
-// where offered counts records entering ingest/ingestBatch at the trust
+// where offered counts records entering ingestBatch at the trust
 // boundary, invalid counts out-of-range node ids discarded there, preshed
 // counts records the admission ladder rejected before the queue,
 // applied/ringshed/queued are the engine's own conservation triple

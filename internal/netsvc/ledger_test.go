@@ -18,8 +18,8 @@ import (
 // TestLedgerAndSLOOverNetwork drives the full serving stack — raw wire
 // frames over TCP, with a span tracer attached and SLOs configured — and
 // pins the observability additions end to end: every offered record gets
-// exactly one ledger fate (including invalid ids on both the scalar and
-// batch paths), the SLO tracker surfaces per-target views through
+// exactly one ledger fate (including invalid ids, alone behind a valid
+// record and interleaved between two), the SLO tracker surfaces per-target views through
 // Introspect, the lira_ledger_* gauges land on the registry, and the
 // tracer captures the netsvc tick and update_batch spans as loadable
 // trace-event JSON.
@@ -71,13 +71,15 @@ func TestLedgerAndSLOOverNetwork(t *testing.T) {
 	rep := func(x float64) motion.Report {
 		return motion.Report{Pos: geo.Point{X: x, Y: 100}, Vel: geo.Vector{X: 1}, Time: clk.Now()}
 	}
-	// Scalar path: one valid record, one out-of-range id (64 nodes
-	// configured, so id 4000 is hostile/corrupt).
-	send(wire.AppendUpdate(nil, wire.Update{Node: 1, Report: rep(100)}))
-	send(wire.AppendUpdate(nil, wire.Update{Node: 4000, Report: rep(100)}))
-	// Batch path: two valid records and one invalid, which forces the
-	// per-record admission branch and its invalid accounting.
+	// One valid record and one out-of-range id (64 nodes configured, so
+	// id 4000 is hostile/corrupt): the bad id is the batch's tail.
 	var b wire.UpdateBatch
+	b.Append(wire.Update{Node: 1, Report: rep(100)})
+	b.Append(wire.Update{Node: 4000, Report: rep(100)})
+	send(wire.AppendUpdateBatch(nil, &b))
+	// Two valid records around an invalid one: the survivors are
+	// compacted over the gap before the single admission call.
+	b.Reset()
 	b.Append(wire.Update{Node: 1, Report: rep(150)})
 	b.Append(wire.Update{Node: 4000, Report: rep(150)})
 	b.Append(wire.Update{Node: 2, Report: rep(200)})

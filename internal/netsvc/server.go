@@ -13,6 +13,13 @@
 // goroutines funnel decoded messages, position updates included, through
 // the same mutex: the engine is single-caller.
 //
+// A report reaches the engine one way: an UpdateBatch frame decoded into
+// connection-owned columns, range-checked, and admitted by a single
+// IngestShedOldestColumns call (Server.ingestBatch). That frame carries
+// fixed-point integers, and Hello and Query — the two client frames with
+// float fields — are validated at registration, so no non-finite value
+// crosses this boundary.
+//
 // The layer is built for lossy, partition-prone links (the network the
 // paper's mobile CQ system actually runs over): connections carry read
 // deadlines kept alive by client heartbeats, a panic in one connection
@@ -27,6 +34,7 @@ package netsvc
 
 import (
 	"context"
+	"math"
 	"net"
 	"runtime"
 	"runtime/pprof"
@@ -146,10 +154,10 @@ type Server struct {
 	adm *admission.Controller
 
 	// offered/invalid feed the record-conservation ledger (ledger.go):
-	// offered counts every update record entering ingest/ingestBatch,
-	// invalid counts the out-of-range ids discarded at the trust
-	// boundary. Always counted (two uncontended atomics per record) so
-	// Ledger works with or without telemetry.
+	// offered counts every update record entering ingestBatch, invalid
+	// counts the out-of-range ids discarded at the trust boundary. Always
+	// counted (two uncontended atomics per batch) so Ledger works with or
+	// without telemetry.
 	offered atomic.Int64
 	invalid atomic.Int64
 
@@ -185,13 +193,12 @@ type Server struct {
 type netTelemetry struct {
 	hub *telemetry.Hub
 
-	readHello  *telemetry.Counter // lira_frames_read_hello_total
-	readUpdate *telemetry.Counter // lira_frames_read_update_total
-	readBatch  *telemetry.Counter // lira_frames_read_update_batch_total
-	readQuery  *telemetry.Counter // lira_frames_read_query_total
-	readPing   *telemetry.Counter // lira_frames_read_ping_total
-	readPong   *telemetry.Counter // lira_frames_read_pong_total
-	readBad    *telemetry.Counter // lira_frames_read_bad_total
+	readHello *telemetry.Counter // lira_frames_read_hello_total
+	readBatch *telemetry.Counter // lira_frames_read_update_batch_total
+	readQuery *telemetry.Counter // lira_frames_read_query_total
+	readPing  *telemetry.Counter // lira_frames_read_ping_total
+	readPong  *telemetry.Counter // lira_frames_read_pong_total
+	readBad   *telemetry.Counter // lira_frames_read_bad_total
 
 	sentAssignment *telemetry.Counter // lira_frames_sent_assignment_total
 	sentResult     *telemetry.Counter // lira_frames_sent_result_total
@@ -215,7 +222,6 @@ func newNetTelemetry(hub *telemetry.Hub) *netTelemetry {
 	return &netTelemetry{
 		hub:            hub,
 		readHello:      r.Counter("lira_frames_read_hello_total"),
-		readUpdate:     r.Counter("lira_frames_read_update_total"),
 		readBatch:      r.Counter("lira_frames_read_update_batch_total"),
 		readQuery:      r.Counter("lira_frames_read_query_total"),
 		readPing:       r.Counter("lira_frames_read_ping_total"),
@@ -513,8 +519,8 @@ func (s *Server) handleConn(sc *srvConn) {
 		s.wg.Done()
 	}()
 	// One FrameReader and one batch scratch per connection: the read loop's
-	// steady state (update and batch frames from a camped node) touches no
-	// allocator at all — headers, payloads, and decoded columns all live in
+	// steady state (batch frames from a camped node) touches no allocator
+	// at all — headers, payloads, and decoded columns all live in
 	// connection-owned buffers grown once to their high-water size.
 	fr := wire.NewFrameReader(sc.c)
 	var batch wire.UpdateBatch
@@ -540,18 +546,9 @@ func (s *Server) handleConn(sc *srvConn) {
 			if s.tel != nil {
 				s.tel.readHello.Inc()
 			}
-			nodeID, hasNode = h.Node, true
-			s.registerNode(sc, h)
-		case wire.TypeUpdate:
-			u, err := wire.DecodeUpdate(payload)
-			if err != nil {
-				detail = "decode"
-				return
+			if s.registerNode(sc, h) {
+				nodeID, hasNode = h.Node, true
 			}
-			if s.tel != nil {
-				s.tel.readUpdate.Inc()
-			}
-			s.ingest(sc, u)
 		case wire.TypeUpdateBatch:
 			root := s.tel.spans().Start("update_batch", "netsvc")
 			var start time.Time
@@ -646,9 +643,36 @@ func (s *Server) syncQueriesLocked() {
 	s.eng.RegisterQueries(qs)
 }
 
-func (s *Server) registerNode(sc *srvConn, h wire.Hello) {
+// rejectFrame counts and journals a well-formed frame whose content the
+// server refuses to act on (a non-finite coordinate, an inverted rect).
+// The connection stays up: everything it registered before is untouched.
+func (s *Server) rejectFrame(peer string, node int64, detail string) {
+	if s.tel != nil {
+		s.tel.readBad.Inc()
+	}
+	s.tel.recordNet("reject", peer, node, detail)
+}
+
+// finite reports whether every value is a finite float (no NaN, no ±Inf).
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// registerNode camps a node on the station covering its announced
+// position and sends it that station's assignment. It reports whether
+// the hello was accepted; a refused hello changes no state.
+func (s *Server) registerNode(sc *srvConn, h wire.Hello) bool {
 	if int(h.Node) >= s.cfg.Core.Nodes {
-		return // out-of-range id: corrupted or hostile handshake
+		return false // out-of-range id: corrupted or hostile handshake
+	}
+	if !finite(h.Pos.X, h.Pos.Y) {
+		s.rejectFrame("node", int64(h.Node), "hello-position")
+		return false
 	}
 	s.mu.Lock()
 	s.nodeConns[h.Node] = sc
@@ -662,32 +686,22 @@ func (s *Server) registerNode(sc *srvConn, h wire.Hello) {
 		s.tel.connectedNodes.Set(float64(len(s.nodeConns)))
 	}
 	s.mu.Unlock()
-	// Capability ack: a v2 Hello advertising batch support. New clients
-	// switch their flusher to vectored UpdateBatch frames on seeing it;
-	// old clients ignore unsolicited Hello frames (their read loop's
-	// default case), so the handshake is invisible to them — and an old
-	// server never sends one, so a new client talking to it stays on
-	// per-update frames. See DESIGN.md §5g.
-	sc.send(wire.AppendHello(nil, wire.Hello{
-		Node: h.Node, Pos: h.Pos,
-		Version: wire.HelloV2, Flags: wire.HelloFlagBatch,
-	}))
 	if frame != nil {
 		if s.tel != nil {
 			s.tel.sentAssignment.Inc()
 		}
 		sc.send(frame)
 	}
+	return true
 }
 
-// ingestBatch admits every record of a decoded batch frame. Each record
-// passes the same trust-boundary id check and shed-oldest admission as a
-// standalone update frame — a batch of n records counts exactly n
+// ingestBatch admits the records of a decoded batch frame — the one way a
+// report reaches the engine. A batch of n records counts exactly n
 // arrivals, so the λ estimate THROTLOOP adapts against is independent of
-// how clients choose to frame their updates. Hand-off checks for all
-// records share one mutex hold (instead of n), and hand-off frames are
-// collected lazily: a batch from a camped, in-coverage node — the steady
-// state — allocates nothing here.
+// how clients frame their updates. Admission and the hand-off checks for
+// all records share one mutex hold, and hand-off frames are collected
+// lazily: a batch from a camped, in-coverage node — the steady state —
+// allocates nothing here.
 func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 	n := b.Len()
 	// Conservation ledger: every record of the batch is offered, whatever
@@ -708,44 +722,37 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 		}
 		off = n - admit
 	}
-	// Trust boundary: scan the id column once. A batch of in-range ids —
-	// the steady-state case — is admitted through the vectored columnar
-	// path; a corrupt id forces per-record admission so that only the bad
-	// records are discarded. Either way each admitted record counts
-	// exactly one arrival (the λ single-count contract).
-	vectored := true
+	// Trust boundary: an out-of-range id must be discarded here, not crash
+	// the drain into the fixed-size motion table. Compact the admitted
+	// suffix of the connection-owned columns in place, keeping order;
+	// while every id is in range (the steady state) end tracks i and the
+	// scan writes nothing.
+	end := off
 	for i := off; i < n; i++ {
 		if int(b.Node[i]) >= s.cfg.Core.Nodes {
-			vectored = false
-			break
+			continue
 		}
+		if end != i {
+			b.Node[end] = b.Node[i]
+			b.X[end], b.Y[end] = b.X[i], b.Y[i]
+			b.VX[end], b.VY[end] = b.VX[i], b.VY[i]
+			b.Time[end] = b.Time[i]
+		}
+		end++
 	}
+	invalid := n - end
 	var handoffs [][]byte
 	s.mu.Lock()
 	sp := root.Child("ingest", "netsvc")
-	shed := 0
-	invalid := 0
-	if vectored {
-		shed = s.eng.IngestShedOldestColumns(b.Node[off:], b.X[off:], b.Y[off:], b.VX[off:], b.VY[off:], b.Time[off:])
-	} else {
-		for i := off; i < n; i++ {
-			u := b.Update(i)
-			if int(u.Node) >= s.cfg.Core.Nodes {
-				invalid++
-				continue
-			}
-			if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-				shed++
-			}
-		}
-	}
+	// Bounded admission with graceful overflow: a saturated queue sheds its
+	// oldest reports to admit the freshest. A shed counts as a drop in the
+	// queue's accounting — the λ-side signal THROTLOOP's utilization
+	// estimate is built from — so sustained overflow shows up as overload,
+	// not as an OOM; each admitted record counts exactly one arrival.
+	shed := s.eng.IngestShedOldestColumns(b.Node[off:end], b.X[off:end], b.Y[off:end], b.VX[off:end], b.VY[off:end], b.Time[off:end])
 	sp.Num("shed", float64(shed)).Num("invalid", float64(invalid)).End()
-	for i := off; i < n; i++ {
-		node := b.Node[i]
-		if int(node) >= s.cfg.Core.Nodes {
-			continue
-		}
-		if frame := s.handoffLocked(node, geo.Point{X: b.X[i], Y: b.Y[i]}); frame != nil {
+	for i := off; i < end; i++ {
+		if frame := s.handoffLocked(b.Node[i], geo.Point{X: b.X[i], Y: b.Y[i]}); frame != nil {
 			handoffs = append(handoffs, frame)
 		}
 	}
@@ -784,43 +791,13 @@ func (s *Server) handoffLocked(node uint32, pos geo.Point) []byte {
 	return nil
 }
 
-func (s *Server) ingest(sc *srvConn, u wire.Update) {
-	// Conservation ledger: offered first, whatever the fate.
-	s.offered.Add(1)
-	// Range-check before the frame reaches the fixed-size motion table:
-	// a bit-flipped node id must be discarded here, at the trust
-	// boundary, not crash the background drain loop.
-	if int(u.Node) >= s.cfg.Core.Nodes {
-		s.invalid.Add(1)
-		return
-	}
-	// Degradation ladder: at the shed/critical rungs the controller
-	// rejects a deterministic fraction of offered frames before they
-	// reach the queue (oldest-first over the arrival sequence).
-	if s.adm != nil && s.adm.AdmitN(1) == 0 {
-		return
-	}
-	// Bounded admission with graceful overflow: a saturated queue sheds
-	// its oldest report to admit the freshest. The shed counts as a drop
-	// in the queue's accounting — the same λ-side signal THROTLOOP's
-	// utilization estimate is built from — so sustained overflow shows up
-	// as overload, not as an OOM. Each frame counts exactly one arrival
-	// (the λ single-count contract).
-	s.mu.Lock()
-	if s.eng.IngestShedOldest(cqserver.Update{Node: int(u.Node), Report: u.Report}) {
-		s.counters.ShedFrames.Add(1)
-	}
-	frame := s.handoffLocked(u.Node, u.Report.Pos)
-	s.mu.Unlock()
-	if frame != nil {
-		if s.tel != nil {
-			s.tel.sentAssignment.Inc()
-		}
-		sc.send(frame)
-	}
-}
-
 func (s *Server) registerQuery(sc *srvConn, q wire.Query) {
+	// A rect with a NaN or ±Inf edge, or one whose edges are out of order,
+	// is refused before it can join the query set every tick evaluates.
+	if r := q.Rect; !finite(r.MinX, r.MinY, r.MaxX, r.MaxY) || r.MinX > r.MaxX || r.MinY > r.MaxY {
+		s.rejectFrame("query", -1, "query-rect")
+		return
+	}
 	s.mu.Lock()
 	idx := -1
 	for i, r := range s.queryRegs {
@@ -839,7 +816,7 @@ func (s *Server) registerQuery(sc *srvConn, q wire.Query) {
 	now := s.cfg.Clock()
 	s.eng.Drain(-1)
 	results := s.eng.Evaluate(now)
-	frame := resultFrame(q.ID, results[idx])
+	frame, _ := appendResultFrame(nil, nil, q.ID, results[idx])
 	s.mu.Unlock()
 	if s.tel != nil {
 		s.tel.sentResult.Inc()
@@ -847,12 +824,15 @@ func (s *Server) registerQuery(sc *srvConn, q wire.Query) {
 	sc.send(frame)
 }
 
-func resultFrame(id uint32, nodes []int) []byte {
-	res := wire.Result{ID: id, Nodes: make([]uint32, len(nodes))}
-	for i, n := range nodes {
-		res.Nodes[i] = uint32(n)
+// appendResultFrame appends the Result frame for a query's member ids to
+// dst. ids is the scratch the ids are narrowed through; both slices come
+// back for reuse, so a caller that keeps them encodes without allocating.
+func appendResultFrame(dst []byte, ids []uint32, id uint32, nodes []int) ([]byte, []uint32) {
+	ids = ids[:0]
+	for _, n := range nodes {
+		ids = append(ids, uint32(n))
 	}
-	return wire.AppendResult(nil, res)
+	return wire.AppendResult(dst, wire.Result{ID: id, Nodes: ids}), ids
 }
 
 func (s *Server) backgroundLoop() {
@@ -871,6 +851,18 @@ func (s *Server) backgroundLoop() {
 	var lastAdapt time.Time
 	var mem runtime.MemStats
 	ticks := 0
+	// One tick's result frames are encoded back to back into a buffer the
+	// loop owns and are written out before the next tick reuses it, so the
+	// steady-state push allocates nothing.
+	type push struct {
+		sc         *srvConn
+		start, end int // the frame is frames[start:end]
+	}
+	var (
+		pushes []push
+		frames []byte
+		ids    []uint32
+	)
 	for {
 		select {
 		case <-s.done:
@@ -924,17 +916,15 @@ func (s *Server) backgroundLoop() {
 			// double-covering it.
 			s.adaptLocked()
 		}
-		type push struct {
-			sc    *srvConn
-			frame []byte
-		}
-		var pushes []push
+		pushes, frames = pushes[:0], frames[:0]
 		if s.cfg.EvalEvery > 0 && len(s.queryRegs) > 0 {
 			sp = root.Child("evaluate", "netsvc")
 			results := s.eng.Evaluate(now)
 			sp.Num("queries", float64(len(results))).End()
 			for qi, reg := range s.queryRegs {
-				pushes = append(pushes, push{reg.owner, resultFrame(reg.clientID, results[qi])})
+				start := len(frames)
+				frames, ids = appendResultFrame(frames, ids, reg.clientID, results[qi])
+				pushes = append(pushes, push{reg.owner, start, len(frames)})
 			}
 		}
 		// Conservation ledger + SLO burn windows, both on the coherent
@@ -947,8 +937,9 @@ func (s *Server) backgroundLoop() {
 			if s.tel != nil {
 				s.tel.sentResult.Inc()
 			}
-			p.sc.send(p.frame)
+			p.sc.send(frames[p.start:p.end])
 		}
+		clear(pushes) // drop the connection pointers until the next tick
 	}
 }
 

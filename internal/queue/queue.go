@@ -1,8 +1,8 @@
 // Package queue implements the server's bounded position-update input
 // queue. It is the component whose overflow behavior motivates LIRA:
-// when updates arrive faster than they are served, excess updates are
-// dropped from the tail at random admission — the "Random Drop" baseline —
-// and the measured utilization ρ = λ/μ drives THROTLOOP.
+// when updates arrive faster than they are served the queue overflows —
+// here by shedding its oldest entries to admit the freshest — and the
+// measured utilization ρ = λ/μ drives THROTLOOP.
 package queue
 
 // Bounded is a bounded FIFO queue of update identifiers with drop
@@ -17,7 +17,7 @@ type Bounded[T any] struct {
 	size       int
 
 	arrived int64 // total offered
-	dropped int64 // total rejected because the queue was full
+	dropped int64 // total shed because the queue was full
 	served  int64 // total dequeued
 
 	// Windowed counters for rate estimation, reset by Rates.
@@ -48,23 +48,6 @@ func (q *Bounded[T]) Occupancy() float64 {
 		return 0
 	}
 	return float64(q.size) / float64(len(q.buf))
-}
-
-// Offer attempts to enqueue item. It returns false — and counts a drop —
-// when the queue is full.
-func (q *Bounded[T]) Offer(item T) bool {
-	q.arrived++
-	q.winArrived++
-	if q.size == len(q.buf) {
-		q.dropped++
-		return false
-	}
-	q.buf[q.tail] = item
-	if q.tail++; q.tail == len(q.buf) {
-		q.tail = 0
-	}
-	q.size++
-	return true
 }
 
 // OfferShedOldest enqueues item unconditionally: when the queue is full
@@ -101,8 +84,7 @@ func (q *Bounded[T]) OfferShedOldest(item T) (shed bool) {
 // item counts one arrival, the ring ends holding the freshest Cap()
 // entries, and every displaced entry counts one drop — but the loop is
 // replaced by O(1) accounting and one write per survivor: a columnar
-// producer scatters each record directly into its ring slot, which is
-// what makes the vectored ingest path cheaper than the per-update one.
+// producer scatters each record directly into its ring slot.
 func (q *Bounded[T]) ReserveShedOldestBulk(n int) (a, b []T, shed int) {
 	if n == 0 {
 		return nil, nil, 0
@@ -160,7 +142,7 @@ func (q *Bounded[T]) Poll() (T, bool) {
 // them as up to two contiguous views into the ring's backing array,
 // oldest first. This is the vectored Poll used by the drain hot path:
 // counters advance once per call instead of once per item. The views
-// alias the ring's storage and are valid only until the next Offer —
+// alias the ring's storage and are valid only until the next offer —
 // callers must consume them before enqueuing again.
 func (q *Bounded[T]) ServeSegments(limit int) (a, b []T) {
 	n := q.size
@@ -190,8 +172,8 @@ func (q *Bounded[T]) ServeSegments(limit int) (a, b []T) {
 // Arrived returns the total number of updates offered to the queue.
 func (q *Bounded[T]) Arrived() int64 { return q.arrived }
 
-// Dropped returns the total number of updates rejected because the queue
-// was full.
+// Dropped returns the total number of updates shed because the queue was
+// full.
 func (q *Bounded[T]) Dropped() int64 { return q.dropped }
 
 // Served returns the total number of updates dequeued.

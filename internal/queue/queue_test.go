@@ -8,8 +8,8 @@ import (
 func TestFIFOOrder(t *testing.T) {
 	q := NewBounded[int64](4)
 	for i := int64(1); i <= 4; i++ {
-		if !q.Offer(i) {
-			t.Fatalf("Offer(%d) failed below capacity", i)
+		if q.OfferShedOldest(i) {
+			t.Fatalf("OfferShedOldest(%d) shed below capacity", i)
 		}
 	}
 	for i := int64(1); i <= 4; i++ {
@@ -53,24 +53,9 @@ func TestOfferShedOldest(t *testing.T) {
 	if q.Arrived() != 5 {
 		t.Errorf("Arrived = %d, want 5", q.Arrived())
 	}
-}
-
-func TestDropWhenFull(t *testing.T) {
-	q := NewBounded[int64](2)
-	q.Offer(1)
-	q.Offer(2)
-	if q.Offer(3) {
-		t.Error("Offer should fail when full")
-	}
-	if q.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", q.Dropped())
-	}
-	if q.Arrived() != 3 {
-		t.Errorf("Arrived = %d, want 3", q.Arrived())
-	}
-	q.Poll()
-	if !q.Offer(4) {
-		t.Error("Offer should succeed after Poll frees a slot")
+	// Polling freed the slots: the next offer sheds nothing.
+	if q.OfferShedOldest(6) || q.Dropped() != 2 {
+		t.Errorf("offer after Poll shed (Dropped = %d, want 2)", q.Dropped())
 	}
 }
 
@@ -78,8 +63,8 @@ func TestWrapAround(t *testing.T) {
 	q := NewBounded[int64](3)
 	for round := 0; round < 10; round++ {
 		for i := int64(0); i < 3; i++ {
-			if !q.Offer(int64(round)*3 + i) {
-				t.Fatal("Offer failed")
+			if q.OfferShedOldest(int64(round)*3 + i) {
+				t.Fatal("shed below capacity")
 			}
 		}
 		for i := int64(0); i < 3; i++ {
@@ -106,7 +91,7 @@ func TestNewBoundedPanics(t *testing.T) {
 func TestRates(t *testing.T) {
 	q := NewBounded[int64](100)
 	for i := int64(0); i < 50; i++ {
-		q.Offer(i)
+		q.OfferShedOldest(i)
 	}
 	for i := 0; i < 30; i++ {
 		q.Poll()
@@ -231,7 +216,7 @@ func TestOccupancy(t *testing.T) {
 	if got := q.Occupancy(); got != 0 {
 		t.Errorf("empty occupancy = %v, want 0", got)
 	}
-	q.Offer(1)
+	q.OfferShedOldest(1)
 	if got := q.Occupancy(); got != 0.25 {
 		t.Errorf("1/4 occupancy = %v, want 0.25", got)
 	}

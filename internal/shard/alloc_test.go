@@ -66,7 +66,7 @@ func TestAllocsIngestDrain(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		u := ups[i%len(ups)]
 		i++
-		if !s.Ingest(u) {
+		if s.IngestShedOldest(u) {
 			t.Fatal("ring full")
 		}
 		if s.Drain(-1) != 1 {
@@ -74,7 +74,7 @@ func TestAllocsIngestDrain(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("Ingest+Drain allocates %.1f/op in steady state, want 0", allocs)
+		t.Errorf("IngestShedOldest+Drain allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
 

@@ -139,7 +139,7 @@ func TestDifferentialMatrix(t *testing.T) {
 			for tick := 1; tick <= ticks; tick++ {
 				now := float64(tick) * dt
 				for _, u := range w.step(now, dt) {
-					if !ref.Ingest(u) || !sh.Ingest(u) {
+					if ref.IngestShedOldest(u) || sh.IngestShedOldest(u) {
 						t.Fatalf("seed %d K=%d: overflow in no-overflow regime", seed, k)
 					}
 				}
@@ -198,7 +198,7 @@ func TestSeedStability(t *testing.T) {
 		for tick := 1; tick <= ticks; tick++ {
 			now := float64(tick)
 			for _, u := range w.step(now, 1) {
-				sh.Ingest(u)
+				sh.IngestShedOldest(u)
 			}
 			sh.Drain(-1)
 			sh.ObserveStatistics(w.pos, w.speeds)
@@ -319,7 +319,7 @@ func TestDrainLimitIsFIFOPrefix(t *testing.T) {
 		for i := 0; i < n; i++ {
 			// Consecutive arrivals hop between bands, east first.
 			x := float64((n-1-i)*379%1000) + 0.5
-			sh.Ingest(cqserver.Update{Node: i, Report: motion.Report{Pos: geo.Point{X: x, Y: 500}}})
+			sh.IngestShedOldest(cqserver.Update{Node: i, Report: motion.Report{Pos: geo.Point{X: x, Y: 500}}})
 		}
 		if got := sh.Drain(limit); got != limit {
 			t.Fatalf("K=%d: Drain(%d) applied %d", k, limit, got)

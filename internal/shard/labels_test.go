@@ -65,7 +65,7 @@ func TestEvaluateWorkerLabelsVisible(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		x := float64(i%100) * 10
 		y := float64(i/100) * 25
-		s.Ingest(cqserver.Update{
+		s.IngestShedOldest(cqserver.Update{
 			Node:   i,
 			Report: motion.Report{Pos: geo.Point{X: x, Y: y}, Vel: geo.Vector{X: 1, Y: 1}, Time: 0},
 		})

@@ -473,7 +473,11 @@ func (s *Server) ObserveStatistics(positions []geo.Point, speeds []float64) {
 // at any worker count.
 func (s *Server) Evaluate(now float64) [][]int {
 	if s.degraded {
-		return s.evaluateDegraded(now)
+		// Touches neither the per-shard indexes nor residency; both
+		// re-converge on the next normal round (phase 1 re-Puts every
+		// resident and migrations re-home movers).
+		cqserver.EvaluateDegraded(s.table, s.cfg.Core.Space, s.queries, s.results, now, s.cfg.Core.Telemetry)
+		return s.results
 	}
 	// Wall stamps and spans exist only with telemetry attached. Spans are
 	// created solely from this coordinator goroutine — never inside the
@@ -615,49 +619,13 @@ func (s *Server) observeShard(shard, _, _ int) {
 }
 
 // SetDegradedEval switches Evaluate to prediction-only mode (see
-// evaluateDegraded). Single-caller, like Evaluate.
+// cqserver.EvaluateDegraded). Single-caller, like Evaluate.
 func (s *Server) SetDegradedEval(on bool) { s.degraded = on }
 
 // SetCompactionDeferred defers phase 3's debt-triggered index compaction
 // while on (the admission ladder's shed rung). Safe to call concurrently
 // with the phase workers.
 func (s *Server) SetCompactionDeferred(on bool) { s.deferCompact.Store(on) }
-
-// evaluateDegraded is the critical-rung Evaluate: it filters each query's
-// previous merged result by dead reckoning against the query rect — the
-// same clamped-prediction, closed-rect containment the fragment scans
-// apply — touching neither the per-shard indexes nor residency. Results
-// can only shrink until normal evaluation resumes (no new entrants are
-// discovered), which is the deliberate trade: accuracy degrades,
-// availability does not. The filter reads the shared motion table, so it
-// is bit-identical to the unsharded engine's degraded path over the same
-// prior results; ascending id order is preserved by in-place filtering.
-// Residency and the indexes re-converge on the next normal round: phase 1
-// re-Puts every resident and migrations re-home movers.
-func (s *Server) evaluateDegraded(now float64) [][]int {
-	var t0 time.Time
-	if s.tel != nil {
-		t0 = time.Now()
-	}
-	space := s.cfg.Core.Space
-	for qi := range s.results {
-		q := s.queries[qi]
-		ids := s.results[qi]
-		kept := ids[:0]
-		for _, id := range ids {
-			if p, ok := s.table.Predict(id, now); ok && q.ContainsClosed(space.ClampPoint(p)) {
-				kept = append(kept, id)
-			}
-		}
-		s.results[qi] = kept
-	}
-	if s.tel != nil {
-		s.tel.evalHist.Observe(time.Since(t0).Seconds())
-		s.tel.evals.Inc()
-		s.tel.degradedEvals.Inc()
-	}
-	return s.results
-}
 
 // PredictedPosition returns the server's belief about a node's position.
 func (s *Server) PredictedPosition(id int, now float64) (geo.Point, bool) {

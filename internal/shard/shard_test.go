@@ -129,8 +129,8 @@ func TestStaleArrivalSuperseded(t *testing.T) {
 	s := testSharded(t, 2, nil)
 	early := cqserver.Update{Node: 3, Report: motion.Report{Pos: geo.Point{X: 900, Y: 10}, Time: 0}}
 	late := cqserver.Update{Node: 3, Report: motion.Report{Pos: geo.Point{X: 100, Y: 10}, Time: 1}}
-	if !s.Ingest(early) || !s.Ingest(late) {
-		t.Fatal("ingest failed")
+	if s.IngestShedOldest(early) || s.IngestShedOldest(late) {
+		t.Fatal("shed below capacity")
 	}
 	s.Drain(-1)
 	rep, ok := s.Table().Report(3)

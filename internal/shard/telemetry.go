@@ -23,11 +23,10 @@ type shardTelemetry struct {
 	gridNodes   *telemetry.Gauge // lira_statgrid_nodes (summed over shards)
 	gridQueries *telemetry.Gauge // lira_statgrid_queries (summed over shards)
 
-	applied       *telemetry.Counter // lira_updates_applied_total
-	evals         *telemetry.Counter // lira_evaluations_total
-	degradedEvals *telemetry.Counter // lira_evaluate_degraded_total
-	migrations    *telemetry.Counter // lira_shard_migrations_total
-	compactions   *telemetry.Counter // lira_shard_compactions_total
+	applied     *telemetry.Counter // lira_updates_applied_total
+	evals       *telemetry.Counter // lira_evaluations_total
+	migrations  *telemetry.Counter // lira_shard_migrations_total
+	compactions *telemetry.Counter // lira_shard_compactions_total
 
 	// Per-shard gauges, indexed by shard: lira_shard<N>_…
 	shardResidents []*telemetry.Gauge // resident count
@@ -48,7 +47,6 @@ func newShardTelemetry(hub *telemetry.Hub, k int) *shardTelemetry {
 		gridQueries:    r.Gauge("lira_statgrid_queries"),
 		applied:        r.Counter("lira_updates_applied_total"),
 		evals:          r.Counter("lira_evaluations_total"),
-		degradedEvals:  r.Counter("lira_evaluate_degraded_total"),
 		migrations:     r.Counter("lira_shard_migrations_total"),
 		compactions:    r.Counter("lira_shard_compactions_total"),
 		shardResidents: make([]*telemetry.Gauge, k),

@@ -71,7 +71,8 @@ type AssignEvent struct {
 
 // NetEvent records one deployment-layer degradation event.
 type NetEvent struct {
-	// Event is one of "disconnect", "reconnect", "give-up", "panic".
+	// Event is one of "disconnect", "reconnect", "give-up", "panic",
+	// "reject".
 	Event string `json:"event"`
 	// Peer identifies the affected endpoint ("node-3", "query", "conn").
 	Peer string `json:"peer,omitempty"`

@@ -70,6 +70,7 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 // above every bound land in the implicit +Inf bucket.
 type Histogram struct {
 	bounds  []float64
+	le      []string       // exposition suffix per bound: `_bucket{le="<bound>"}`
 	buckets []atomic.Int64 // len(bounds)+1; last is +Inf
 	count   atomic.Int64
 	sumBits atomic.Uint64
@@ -79,7 +80,11 @@ type Histogram struct {
 func newHistogram(bounds []float64) *Histogram {
 	b := append([]float64(nil), bounds...)
 	sort.Float64s(b)
-	return &Histogram{bounds: b, buckets: make([]atomic.Int64, len(b)+1)}
+	le := make([]string, len(b))
+	for i, v := range b {
+		le[i] = `_bucket{le="` + escapeLabel(strconv.FormatFloat(v, 'g', -1, 64)) + `"}`
+	}
+	return &Histogram{bounds: b, le: le, buckets: make([]atomic.Int64, len(b)+1)}
 }
 
 // Observe records one value.
@@ -403,71 +408,83 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format (version 0.0.4). Series are not exported — they are simulation
 // artifacts reachable through Snapshot and /debug/lira — and histograms
-// follow the cumulative _bucket/_sum/_count convention.
+// follow the cumulative _bucket/_sum/_count convention. The document is
+// built append-style in a pooled buffer and written once, so a scraper
+// polling several times a second leaves no per-line garbage behind.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	e := expoPool.Get().(*expoBuf)
+	defer expoPool.Put(e)
+	e.b = e.b[:0]
+	r.render(e)
+	_, err := w.Write(e.b)
+	return err
+}
+
+// expoBuf is the working memory of one exposition render.
+type expoBuf struct {
+	b     []byte
+	names []string
+}
+
+var expoPool = sync.Pool{New: func() any { return new(expoBuf) }}
+
+func (e *expoBuf) family(name, kind string) {
+	e.b = append(append(append(append(append(e.b, "# TYPE "...), name...), ' '), kind...), '\n')
+}
+
+// int and float append one sample line: "name+suffix value\n".
+func (e *expoBuf) int(name, suffix string, v int64) {
+	e.b = append(strconv.AppendInt(append(append(append(e.b, name...), suffix...), ' '), v, 10), '\n')
+}
+
+func (e *expoBuf) float(name, suffix string, v float64) {
+	e.b = append(strconv.AppendFloat(append(append(append(e.b, name...), suffix...), ' '), v, 'g', -1, 64), '\n')
+}
+
+func appendKeys[V any](dst []string, m map[string]V) []string {
+	for n := range m {
+		dst = append(dst, n)
+	}
+	return dst
+}
+
+func (r *Registry) render(e *expoBuf) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
+	e.names = appendKeys(e.names[:0], r.counters)
+	sort.Strings(e.names)
+	for _, n := range e.names {
+		e.family(n, "counter")
+		e.int(n, "", r.counters[n].Value())
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", n, n, r.counters[n].Value()); err != nil {
-			return err
-		}
-	}
-
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.gaugeFuncs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	e.names = appendKeys(appendKeys(e.names[:0], r.gauges), r.gaugeFuncs)
+	sort.Strings(e.names)
+	for _, n := range e.names {
 		var v float64
 		if g, ok := r.gauges[n]; ok {
 			v = g.Value()
 		} else {
 			v = r.gaugeFuncs[n]()
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", n, n, formatFloat(v)); err != nil {
-			return err
-		}
+		e.family(n, "gauge")
+		e.float(n, "", v)
 	}
-
-	names = names[:0]
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := r.hists[n].Snapshot()
-		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", n); err != nil {
-			return err
-		}
+	e.names = appendKeys(e.names[:0], r.hists)
+	sort.Strings(e.names)
+	for _, n := range e.names {
+		h := r.hists[n]
+		count, sum := h.count.Load(), h.Sum()
+		e.family(n, "histogram")
 		cum := int64(0)
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%s\"} %d\n", n, escapeLabel(formatFloat(b)), cum); err != nil {
-				return err
-			}
+		for i, le := range h.le {
+			cum += h.buckets[i].Load()
+			e.int(n, le, cum)
 		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", n, h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum %s\n%s_count %d\n", n, formatFloat(h.Sum), n, h.Count); err != nil {
-			return err
-		}
+		e.int(n, `_bucket{le="+Inf"}`, count)
+		e.float(n, "_sum", sum)
+		e.int(n, "_count", count)
 	}
-	return nil
-}
-
-func formatFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // escapeLabel escapes a Prometheus label value per the text exposition

@@ -1,11 +1,8 @@
-// Batched position-update framing: the ingest hot path's wire format.
+// Position-update framing: the only frame a dead-reckoning report
+// travels in, and the ingest hot path's wire format.
 //
-// A single TypeUpdate frame costs 5 header bytes plus a 28-byte payload
-// for every report, and the reader allocates a fresh payload buffer per
-// frame. At the million-updates-per-second scale the ROADMAP targets,
-// that framing — not the evaluation work — becomes the bottleneck.
-// TypeUpdateBatch amortizes the header over many updates and encodes the
-// records column-major ("vectored"):
+// TypeUpdateBatch amortizes the 5-byte frame header over many reports
+// and encodes the records column-major ("vectored"):
 //
 //	uvarint n                  record count (≤ MaxBatch)
 //	n × svarint Δid            node ids, delta vs previous id
@@ -18,10 +15,10 @@
 // Coordinates and velocities are fixed point at 2⁻¹⁶ m resolution, time
 // at 2⁻²⁰ s (≈1 µs); svarint is zigzag varint. One node's consecutive
 // reports delta-encode to near-zero ids and small coordinate steps, so a
-// steady-state batch record costs a few bytes instead of 33. Because the
-// wire carries integers, a decoded batch can never smuggle NaN or ±Inf
-// into the motion table — a trust-boundary property the float32
-// per-update format lacks.
+// steady-state batch record costs a few bytes. Because the wire carries
+// integers bounded by maxQ, a decoded batch can never smuggle NaN or ±Inf
+// into the motion table: the trust-boundary property holds for every
+// report by construction, with no per-field check on the hot path.
 //
 // Decoding is allocation-free: DecodeUpdateBatchInto fills a
 // caller-owned UpdateBatch whose column slices are reused across calls,
@@ -40,7 +37,7 @@ import (
 	"lira/internal/motion"
 )
 
-// TypeUpdateBatch is a vectored batch of position updates (wire v2).
+// TypeUpdateBatch is a vectored batch of position updates.
 const TypeUpdateBatch Type = 8
 
 // MaxBatch bounds the record count of one update batch. It is far above
@@ -111,7 +108,7 @@ func (b *UpdateBatch) Append(u Update) {
 	b.Time = append(b.Time, u.Report.Time)
 }
 
-// Update reconstructs record i as a per-update message.
+// Update reconstructs record i as a single update.
 func (b *UpdateBatch) Update(i int) Update {
 	return Update{
 		Node: b.Node[i],

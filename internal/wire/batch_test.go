@@ -165,6 +165,27 @@ func TestAppendUpdateBatchZeroAllocReused(t *testing.T) {
 	}
 }
 
+// Result frames go out on every evaluation tick; the server encodes a
+// tick's frames back to back into one reused buffer, so appending after
+// earlier content must not disturb it and must not allocate.
+func TestAppendResultZeroAllocReused(t *testing.T) {
+	res := Result{ID: 7, Nodes: make([]uint32, 300)}
+	for i := range res.Nodes {
+		res.Nodes[i] = uint32(i * 3)
+	}
+	one := AppendResult(nil, res)
+	buf := AppendResult(AppendResult(nil, Result{ID: 1}), res)
+	if !bytes.Equal(buf[len(buf)-len(one):], one) || len(buf) != headerLen+8+len(one) {
+		t.Fatalf("frame appended after another differs from the frame alone")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		buf = AppendResult(AppendResult(buf[:0], Result{ID: 1}), res)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendResult allocates %.1f/op into a warm buffer, want 0", allocs)
+	}
+}
+
 // FrameReader reuses its payload buffer: reading a long stream of frames
 // allocates nothing after the first (largest) frame.
 func TestFrameReaderZeroAlloc(t *testing.T) {
@@ -207,7 +228,7 @@ func TestFrameReaderZeroAlloc(t *testing.T) {
 func TestFrameReaderMatchesReadFrame(t *testing.T) {
 	var stream []byte
 	stream = AppendHello(stream, Hello{Node: 3, Pos: geo.Point{X: 5, Y: 6}})
-	stream = AppendUpdate(stream, Update{Node: 3})
+	stream = AppendQuery(stream, Query{ID: 3})
 	stream = AppendUpdateBatch(stream, randomBatch(rng.New(4), 3))
 	stream = AppendPing(stream, Ping{Token: 11})
 
@@ -230,7 +251,7 @@ func TestFrameReaderMatchesReadFrame(t *testing.T) {
 		}
 	}
 	// An oversized declared length is rejected like ReadFrame rejects it.
-	bad := []byte{0xff, 0xff, 0xff, 0xff, byte(TypeUpdate)}
+	bad := []byte{0xff, 0xff, 0xff, 0xff, byte(TypeQuery)}
 	if _, _, err := NewFrameReader(bytes.NewReader(bad)).Next(); err == nil {
 		t.Error("oversized length accepted by FrameReader")
 	}

@@ -7,6 +7,7 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"lira/internal/geo"
@@ -19,6 +20,9 @@ func payloadOf(frame []byte) []byte { return frame[headerLen:] }
 func FuzzDecodeHello(f *testing.F) {
 	f.Add(payloadOf(AppendHello(nil, Hello{Node: 7, Pos: geo.Point{X: 100, Y: 200}})))
 	f.Add([]byte{})
+	// Non-finite positions decode (float32 carries them); netsvc rejects
+	// them at registration.
+	f.Add(payloadOf(AppendHello(nil, Hello{Node: 7, Pos: geo.Point{X: math.NaN(), Y: math.Inf(1)}})))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := DecodeHello(b)
 		if err != nil {
@@ -30,29 +34,6 @@ func FuzzDecodeHello(f *testing.F) {
 		got, err2 := DecodeHello(payloadOf(AppendHello(nil, h)))
 		if err2 != nil || got != h {
 			t.Fatalf("re-encode round-trip: %+v vs %+v (%v)", got, h, err2)
-		}
-	})
-}
-
-func FuzzDecodeUpdate(f *testing.F) {
-	f.Add(payloadOf(AppendUpdate(nil, Update{
-		Node:   3,
-		Report: motion.Report{Pos: geo.Point{X: 1, Y: 2}, Vel: geo.Vector{X: 3, Y: 4}, Time: 5},
-	})))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		u, err := DecodeUpdate(b)
-		if err != nil {
-			return
-		}
-		// NaN payloads survive decoding but do not compare equal; skip the
-		// round-trip comparison for them.
-		if u != u {
-			return
-		}
-		got, err2 := DecodeUpdate(payloadOf(AppendUpdate(nil, u)))
-		if err2 != nil || got != u {
-			t.Fatalf("re-encode round-trip: %+v vs %+v (%v)", got, u, err2)
 		}
 	})
 }
@@ -83,6 +64,11 @@ func FuzzDecodeAssignment(f *testing.F) {
 func FuzzDecodeQuery(f *testing.F) {
 	f.Add(payloadOf(AppendQuery(nil, Query{ID: 2, Rect: geo.NewRect(0, 0, 100, 100)})))
 	f.Add([]byte{})
+	// Non-finite rects decode too; netsvc rejects them at registration.
+	nan, inf := math.NaN(), math.Inf(1)
+	f.Add(payloadOf(AppendQuery(nil, Query{ID: 2, Rect: geo.Rect{MinX: nan, MinY: nan, MaxX: nan, MaxY: nan}})))
+	f.Add(payloadOf(AppendQuery(nil, Query{ID: 2, Rect: geo.Rect{MinX: -inf, MinY: -inf, MaxX: inf, MaxY: inf}})))
+	f.Add(payloadOf(AppendQuery(nil, Query{ID: 2, Rect: geo.Rect{MinX: 10, MinY: 10, MaxX: nan, MaxY: 20}})))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		q, err := DecodeQuery(b)
 		if err != nil {

@@ -9,6 +9,11 @@
 // payload length, 1-byte message type) followed by the payload. All
 // multi-byte integers are little-endian; floats are IEEE-754 float32 on
 // the wire (the paper's "4 byte float"), float64 in memory.
+//
+// A dead-reckoning report crosses the wire in exactly one frame,
+// TypeUpdateBatch (batch.go): fixed-point integer columns, so a report
+// cannot carry NaN or ±Inf. Hello and Query are the only client frames
+// with float fields; their receiver validates them.
 package wire
 
 import (
@@ -16,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"lira/internal/geo"
 	"lira/internal/motion"
@@ -27,8 +33,10 @@ type Type uint8
 const (
 	// TypeHello is a node's first contact: its id and position.
 	TypeHello Type = iota + 1
-	// TypeUpdate is a position update (dead-reckoning report).
-	TypeUpdate
+	// Code 2 is reserved: reports travel in TypeUpdateBatch only, and a
+	// receiver treats code 2 as any unknown type. The blank keeps the
+	// codes below it stable.
+	_
 	// TypeAssignment is a station's (region, throttler) broadcast.
 	TypeAssignment
 	// TypeQuery registers a continual range query.
@@ -48,8 +56,6 @@ func (t Type) String() string {
 	switch t {
 	case TypeHello:
 		return "hello"
-	case TypeUpdate:
-		return "update"
 	case TypeAssignment:
 		return "assignment"
 	case TypeQuery:
@@ -75,35 +81,10 @@ const MaxPayload = 1 << 20
 // headerLen is the frame header size: 4-byte length + 1-byte type.
 const headerLen = 5
 
-// Hello protocol versions. HelloV1 is the original 12-byte payload
-// (node id + position); HelloV2 appends a version byte and a capability
-// flags byte. A zero-valued Hello encodes as v1, so every pre-existing
-// call site stays wire-compatible with old peers.
-const (
-	HelloV1 uint8 = 1
-	HelloV2 uint8 = 2
-)
-
-// HelloFlagBatch advertises that the sender accepts TypeUpdateBatch
-// frames. The server sets it in the capability hello it echoes back to a
-// connecting node; clients that predate the flag ignore the echo (their
-// read loops drop unknown frames) and keep sending per-update frames,
-// while old servers never echo and new clients fall back likewise.
-const HelloFlagBatch uint8 = 1 << 0
-
-// Hello is a node's first contact with the serving infrastructure. The
-// server answers a node hello with a hello of its own carrying Version
-// HelloV2 and its capability flags.
+// Hello is a node's first contact with the serving infrastructure.
 type Hello struct {
 	Node uint32
 	Pos  geo.Point
-	// Version is the hello format version: HelloV1 for the legacy
-	// 12-byte payload (the zero value encodes as v1), HelloV2 when
-	// Version and Flags ride along.
-	Version uint8
-	// Flags carries capability bits (HelloFlag*); v1 hellos decode with
-	// Flags 0.
-	Flags uint8
 }
 
 // Update carries one dead-reckoning report.
@@ -183,12 +164,6 @@ func (w *writer) f32(v float64) {
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, math.Float32bits(float32(v)))
 }
 
-// f64 writes a full-precision float: used for report timestamps, where
-// float32's 24-bit mantissa would quantize long-running clocks.
-func (w *writer) f64(v float64) {
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(v))
-}
-
 type reader struct {
 	buf []byte
 	off int
@@ -224,15 +199,6 @@ func (r *reader) f32() float64 {
 	return float64(v)
 }
 
-func (r *reader) f64() float64 {
-	if !r.ensure(8) {
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v
-}
-
 func (r *reader) done() error {
 	if r.err != nil {
 		return r.err
@@ -243,30 +209,13 @@ func (r *reader) done() error {
 	return nil
 }
 
-// AppendHello encodes h into a frame appended to dst. Hellos with
-// Version < HelloV2 encode as the legacy 12-byte payload old peers
-// expect; HelloV2 and later append the version and flags bytes.
+// AppendHello encodes h into a frame appended to dst.
 func AppendHello(dst []byte, h Hello) []byte {
 	var w writer
 	w.u32(h.Node)
 	w.f32(h.Pos.X)
 	w.f32(h.Pos.Y)
-	if h.Version >= HelloV2 {
-		w.buf = append(w.buf, h.Version, h.Flags)
-	}
 	return appendFrame(dst, TypeHello, w.buf)
-}
-
-// AppendUpdate encodes u into a frame appended to dst.
-func AppendUpdate(dst []byte, u Update) []byte {
-	var w writer
-	w.u32(u.Node)
-	w.f32(u.Report.Pos.X)
-	w.f32(u.Report.Pos.Y)
-	w.f32(u.Report.Vel.X)
-	w.f32(u.Report.Vel.Y)
-	w.f64(u.Report.Time)
-	return appendFrame(dst, TypeUpdate, w.buf)
 }
 
 // AppendAssignment encodes a into a frame appended to dst.
@@ -294,15 +243,21 @@ func AppendQuery(dst []byte, q Query) []byte {
 	return appendFrame(dst, TypeQuery, w.buf)
 }
 
-// AppendResult encodes r into a frame appended to dst.
+// AppendResult encodes r into a frame appended to dst. The payload is
+// written straight into dst (its size is known up front), so encoding
+// into a reused buffer allocates nothing: result frames are the one
+// server→client frame sent on every evaluation tick.
 func AppendResult(dst []byte, res Result) []byte {
-	var w writer
-	w.u32(res.ID)
-	w.u32(uint32(len(res.Nodes)))
+	payload := 8 + 4*len(res.Nodes)
+	dst = slices.Grow(dst, headerLen+payload)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(payload))
+	dst = append(dst, byte(TypeResult))
+	dst = binary.LittleEndian.AppendUint32(dst, res.ID)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(res.Nodes)))
 	for _, n := range res.Nodes {
-		w.u32(n)
+		dst = binary.LittleEndian.AppendUint32(dst, n)
 	}
-	return appendFrame(dst, TypeResult, w.buf)
+	return dst
 }
 
 // AppendPing encodes p into a frame appended to dst.
@@ -325,37 +280,11 @@ func appendFrame(dst []byte, t Type, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
-// DecodeHello decodes a hello payload. A 12-byte payload is a legacy v1
-// hello (Version HelloV1, Flags 0); a 14-byte payload must carry a
-// version byte ≥ HelloV2, so re-encoding a decoded hello reproduces the
-// original bytes for either shape.
+// DecodeHello decodes a hello payload.
 func DecodeHello(payload []byte) (Hello, error) {
 	r := reader{buf: payload}
 	h := Hello{Node: r.u32(), Pos: geo.Point{X: r.f32(), Y: r.f32()}}
-	if r.err == nil && r.off < len(payload) {
-		if !r.ensure(2) {
-			return h, r.err
-		}
-		h.Version = payload[r.off]
-		h.Flags = payload[r.off+1]
-		r.off += 2
-		if h.Version < HelloV2 {
-			return h, fmt.Errorf("wire: hello version %d with v2 payload length", h.Version)
-		}
-	} else {
-		h.Version = HelloV1
-	}
 	return h, r.done()
-}
-
-// DecodeUpdate decodes an update payload.
-func DecodeUpdate(payload []byte) (Update, error) {
-	r := reader{buf: payload}
-	u := Update{Node: r.u32()}
-	u.Report.Pos = geo.Point{X: r.f32(), Y: r.f32()}
-	u.Report.Vel = geo.Vector{X: r.f32(), Y: r.f32()}
-	u.Report.Time = r.f64()
-	return u, r.done()
 }
 
 // DecodeAssignment decodes an assignment payload.

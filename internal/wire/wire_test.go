@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"lira/internal/geo"
-	"lira/internal/motion"
 	"lira/internal/rng"
 )
 
@@ -27,63 +26,22 @@ func roundTrip(t *testing.T, frame []byte, wantType Type) []byte {
 func TestHelloRoundTrip(t *testing.T) {
 	h := Hello{Node: 42, Pos: geo.Point{X: 123.5, Y: -7.25}}
 	frame := AppendHello(nil, h)
-	// A zero-version hello must stay the legacy 12-byte payload so old
-	// peers keep decoding it.
 	if len(frame) != 5+12 {
-		t.Fatalf("v1 hello frame = %d bytes, want 17", len(frame))
+		t.Fatalf("hello frame = %d bytes, want 17", len(frame))
 	}
 	payload := roundTrip(t, frame, TypeHello)
 	got, err := DecodeHello(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Version = HelloV1
 	if got != h {
 		t.Errorf("got %+v, want %+v", got, h)
 	}
-}
-
-func TestHelloV2RoundTrip(t *testing.T) {
-	h := Hello{Node: 9, Pos: geo.Point{X: 1, Y: 2}, Version: HelloV2, Flags: HelloFlagBatch}
-	frame := AppendHello(nil, h)
-	if len(frame) != 5+14 {
-		t.Fatalf("v2 hello frame = %d bytes, want 19", len(frame))
-	}
-	got, err := DecodeHello(roundTrip(t, frame, TypeHello))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != h {
-		t.Errorf("got %+v, want %+v", got, h)
-	}
-	// A v2-length payload claiming a v1 version byte is malformed: it
-	// could not have been produced by AppendHello.
-	bad := append([]byte{}, frame[5:]...)
-	bad[12] = HelloV1
-	if _, err := DecodeHello(bad); err == nil {
-		t.Error("v2-length hello with v1 version byte accepted")
-	}
-	if _, err := DecodeHello(frame[5:18]); err == nil {
-		t.Error("13-byte hello accepted")
-	}
-}
-
-func TestUpdateRoundTrip(t *testing.T) {
-	u := Update{
-		Node: 7,
-		Report: motion.Report{
-			Pos:  geo.Point{X: 1000.25, Y: 2000.5},
-			Vel:  geo.Vector{X: -3.5, Y: 12.75},
-			Time: 86400.125, // float64 on the wire: survives long clocks
-		},
-	}
-	payload := roundTrip(t, AppendUpdate(nil, u), TypeUpdate)
-	got, err := DecodeUpdate(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != u {
-		t.Errorf("got %+v, want %+v", got, u)
+	// The payload is exactly 12 bytes: anything longer is malformed.
+	for _, extra := range []int{1, 2} {
+		if _, err := DecodeHello(append(payload[:12:12], make([]byte, extra)...)); err == nil {
+			t.Errorf("%d-byte hello accepted", 12+extra)
+		}
 	}
 }
 
@@ -173,11 +131,11 @@ func TestEntryRectConversion(t *testing.T) {
 func TestStreamOfFrames(t *testing.T) {
 	var buf bytes.Buffer
 	frames := AppendHello(nil, Hello{Node: 1, Pos: geo.Point{X: 1, Y: 1}})
-	frames = AppendUpdate(frames, Update{Node: 1})
+	frames = AppendQuery(frames, Query{ID: 1})
 	frames = AppendAssignment(frames, Assignment{Station: 2, DefaultDelta: 5})
 	buf.Write(frames)
 
-	want := []Type{TypeHello, TypeUpdate, TypeAssignment}
+	want := []Type{TypeHello, TypeQuery, TypeAssignment}
 	for i, w := range want {
 		typ, _, err := ReadFrame(&buf)
 		if err != nil {
@@ -193,7 +151,7 @@ func TestStreamOfFrames(t *testing.T) {
 }
 
 func TestReadFrameTruncation(t *testing.T) {
-	frame := AppendUpdate(nil, Update{Node: 1})
+	frame := AppendQuery(nil, Query{ID: 1})
 	for cut := 1; cut < len(frame); cut++ {
 		_, _, err := ReadFrame(bytes.NewReader(frame[:cut]))
 		if err == nil {
@@ -203,7 +161,7 @@ func TestReadFrameTruncation(t *testing.T) {
 }
 
 func TestReadFrameOversizedPayloadRejected(t *testing.T) {
-	frame := []byte{0xff, 0xff, 0xff, 0xff, byte(TypeUpdate)}
+	frame := []byte{0xff, 0xff, 0xff, 0xff, byte(TypeQuery)}
 	if _, _, err := ReadFrame(bytes.NewReader(frame)); err == nil {
 		t.Error("oversized length accepted")
 	}
@@ -213,8 +171,8 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := DecodeHello([]byte{1, 2}); err == nil {
 		t.Error("short hello accepted")
 	}
-	if _, err := DecodeUpdate(make([]byte, 100)); err == nil {
-		t.Error("long update accepted")
+	if _, err := DecodeQuery(make([]byte, 100)); err == nil {
+		t.Error("long query accepted")
 	}
 	if _, err := DecodeAssignment(make([]byte, 8+7)); err == nil {
 		t.Error("ragged assignment accepted")
@@ -269,13 +227,12 @@ func TestFloat32Quantization(t *testing.T) {
 	// Positions quantize to float32 on the wire: the error must stay far
 	// below Δ⊢ = 5 m for coordinates within a metropolitan space.
 	x := 14141.87654321
-	u := Update{Node: 1, Report: motion.Report{Pos: geo.Point{X: x, Y: x}}}
-	payload := AppendUpdate(nil, u)[5:]
-	got, err := DecodeUpdate(payload)
+	payload := AppendHello(nil, Hello{Node: 1, Pos: geo.Point{X: x, Y: x}})[5:]
+	got, err := DecodeHello(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := math.Abs(got.Report.Pos.X - x); diff > 0.01 {
+	if diff := math.Abs(got.Pos.X - x); diff > 0.01 {
 		t.Errorf("float32 quantization error %v m too large", diff)
 	}
 }
@@ -308,10 +265,18 @@ func TestPingPongRoundTrip(t *testing.T) {
 }
 
 func TestTypeString(t *testing.T) {
-	for _, typ := range []Type{TypeHello, TypeUpdate, TypeAssignment, TypeQuery, TypeResult, TypePing, TypePong} {
-		if typ.String() == "" {
-			t.Errorf("Type %d has no name", typ)
+	// The numeric codes are the protocol: they must never shift.
+	codes := map[Type]uint8{TypeHello: 1, TypeAssignment: 3, TypeQuery: 4, TypeResult: 5, TypePing: 6, TypePong: 7, TypeUpdateBatch: 8}
+	for typ, code := range codes {
+		if uint8(typ) != code {
+			t.Errorf("%v has code %d, want %d", typ, uint8(typ), code)
 		}
+		if s := typ.String(); s == "" || s[0] == 'T' {
+			t.Errorf("Type %d has no name (%q)", typ, s)
+		}
+	}
+	if Type(2).String() != "Type(2)" {
+		t.Errorf("reserved code 2 prints %q, want Type(2)", Type(2).String())
 	}
 	if Type(99).String() != "Type(99)" {
 		t.Errorf("unknown type string = %q", Type(99).String())

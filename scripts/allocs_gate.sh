@@ -1,8 +1,8 @@
 #!/bin/sh
 # Allocation gate: the ingest hot path's memory model, enforced. Runs the
 # testing.AllocsPerRun gates that pin steady-state allocation counts —
-# zero for Ingest/IngestShedOldest (scalar, bulk, and columnar), Drain,
-# and Apply; at most one per Evaluate — on both the unsharded and the
+# zero for IngestShedOldestColumns and its scalar helper IngestShedOldest,
+# Drain, and Apply; at most one per Evaluate — on both the unsharded and the
 # sharded engine, plus the wire layer's zero-alloc batch decode.
 set -eu
 

@@ -50,6 +50,18 @@ if [ -n "$bad" ]; then
 fi
 echo "three drive loops"
 
+# A report enters an engine from the network at exactly one site:
+# netsvc's ingestBatch, through the columnar primitive. A second call,
+# or any use of the scalar helper there, is a second admission path.
+sites="$(grep -rn --include='*.go' -e 'IngestShedOldest[A-Za-z]*(' internal/netsvc | grep -v '_test\.go' || true)"
+if [ "$(printf '%s\n' "$sites" | grep -c 'IngestShedOldestColumns(')" -ne 1 ] \
+	|| printf '%s\n' "$sites" | grep -qv 'IngestShedOldestColumns('; then
+	echo "internal/netsvc must hold exactly one engine-ingest call, IngestShedOldestColumns(:" >&2
+	echo "$sites" >&2
+	exit 1
+fi
+echo "one admission site"
+
 echo "== package docs (every package must carry a doc comment) =="
 missing="$(go list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./...)"
 if [ -n "$missing" ]; then
@@ -69,9 +81,9 @@ echo "== allocation gates (zero-alloc hot paths) =="
 sh scripts/allocs_gate.sh
 
 echo "== fuzz smoke (wire decoders, 5s each) =="
-for t in FuzzDecodeHello FuzzDecodeUpdate FuzzDecodeAssignment \
-         FuzzDecodeQuery FuzzDecodeResult FuzzDecodePing \
-         FuzzDecodeUpdateBatch FuzzReadFrame; do
+for t in FuzzDecodeHello FuzzDecodeAssignment FuzzDecodeQuery \
+         FuzzDecodeResult FuzzDecodePing FuzzDecodeUpdateBatch \
+         FuzzReadFrame; do
 	echo "fuzz $t"
 	go test -run '^$' -fuzz "^${t}\$" -fuzztime 5s ./internal/wire
 done
