@@ -175,3 +175,49 @@ func TestHeapOrderProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The id table is a dense slice: ids far apart, ids pushed again after
+// leaving the heap, absent and out-of-range ids, and a Reset heap must all
+// behave as they did on the map.
+func TestSparseAndRepushedIDs(t *testing.T) {
+	var h Heap
+	h.Push(1000, 1)
+	h.Push(3, 2)
+	h.Push(70000, 3)
+	if h.Contains(999) || h.Contains(70001) || h.Contains(-1) || h.Remove(-5) || h.Update(1<<40, 1) {
+		t.Error("absent or out-of-range ids must report missing")
+	}
+	if id, _ := h.PopMax(); id != 70000 {
+		t.Fatalf("PopMax = %d, want 70000", id)
+	}
+	h.Push(70000, 0.5) // re-push after pop
+	if !h.Remove(3) {
+		t.Fatal("Remove(3) reported missing")
+	}
+	h.Push(3, 9) // re-push after remove
+	for _, want := range []int{3, 1000, 70000} {
+		if id, _ := h.PopMax(); id != want {
+			t.Fatalf("PopMax = %d, want %d", id, want)
+		}
+	}
+
+	h.Push(5, 1)
+	h.Push(6, 2)
+	h.Reset(8)
+	if h.Len() != 0 || h.Contains(5) || h.Contains(6) {
+		t.Fatal("Reset left items behind")
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for id := 0; id < 8; id++ {
+			h.Push(id, 1) // equal priorities: insertion order restarts after Reset
+		}
+		for id := 0; id < 8; id++ {
+			if got, _ := h.PopMax(); got != id {
+				t.Fatalf("after Reset: PopMax = %d, want %d", got, id)
+			}
+		}
+		h.Reset(8)
+	}); allocs != 0 {
+		t.Errorf("pushing ids below the Reset size allocated %.0f times", allocs)
+	}
+}

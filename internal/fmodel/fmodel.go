@@ -24,6 +24,10 @@ import (
 type Curve struct {
 	minDelta, maxDelta float64
 	ys                 []float64 // κ+1 knot values, ys[0] == 1
+	// width and rates are fixed at construction: GREEDYINCREMENT reads
+	// Rate twice per step, and deriving them there costs two divisions.
+	width float64   // c_Δ = (Δ⊣ − Δ⊢)/κ
+	rates []float64 // −slope of each of the κ segments
 }
 
 // NewCurve builds a curve from κ+1 knot values sampled at equally spaced
@@ -53,7 +57,12 @@ func NewCurve(minDelta, maxDelta float64, knots []float64) (*Curve, error) {
 			ys[i] = 0
 		}
 	}
-	return &Curve{minDelta: minDelta, maxDelta: maxDelta, ys: ys}, nil
+	c := &Curve{minDelta: minDelta, maxDelta: maxDelta, ys: ys, rates: make([]float64, len(ys)-1)}
+	c.width = (maxDelta - minDelta) / float64(len(c.rates))
+	for i := range c.rates {
+		c.rates[i] = (ys[i] - ys[i+1]) / c.width
+	}
+	return c, nil
 }
 
 // Hyperbolic returns the analytic default curve with κ segments:
@@ -86,13 +95,11 @@ func (c *Curve) Segments() int { return len(c.ys) - 1 }
 
 // SegmentWidth returns the paper's increment c_Δ = (Δ⊣ − Δ⊢)/κ for which
 // GREEDYINCREMENT is optimal on this curve.
-func (c *Curve) SegmentWidth() float64 {
-	return (c.maxDelta - c.minDelta) / float64(c.Segments())
-}
+func (c *Curve) SegmentWidth() float64 { return c.width }
 
 // Knot returns the i-th knot threshold and value.
 func (c *Curve) Knot(i int) (delta, f float64) {
-	return c.minDelta + c.SegmentWidth()*float64(i), c.ys[i]
+	return c.minDelta + c.width*float64(i), c.ys[i]
 }
 
 func (c *Curve) clamp(delta float64) float64 {
@@ -108,8 +115,7 @@ func (c *Curve) clamp(delta float64) float64 {
 // Eval returns f(Δ). Arguments outside [Δ⊢, Δ⊣] are clamped.
 func (c *Curve) Eval(delta float64) float64 {
 	delta = c.clamp(delta)
-	w := c.SegmentWidth()
-	t := (delta - c.minDelta) / w
+	t := (delta - c.minDelta) / c.width
 	i := int(t)
 	if i >= c.Segments() {
 		return c.ys[c.Segments()]
@@ -123,13 +129,11 @@ func (c *Curve) Eval(delta float64) float64 {
 // greedy step is about to move Δ upward, so the slope of the segment it is
 // entering is the relevant one. At Δ⊣ the last segment's slope is used.
 func (c *Curve) Rate(delta float64) float64 {
-	delta = c.clamp(delta)
-	w := c.SegmentWidth()
-	i := int((delta - c.minDelta) / w)
-	if i >= c.Segments() {
-		i = c.Segments() - 1
+	i := int((c.clamp(delta) - c.minDelta) / c.width)
+	if i >= len(c.rates) {
+		i = len(c.rates) - 1
 	}
-	return (c.ys[i] - c.ys[i+1]) / w
+	return c.rates[i]
 }
 
 // Invert returns the smallest Δ with f(Δ) ≤ target. This is how the
@@ -147,7 +151,6 @@ func (c *Curve) Invert(target float64) float64 {
 	// Find the first knot with value <= target; interpolate inside the
 	// preceding segment. f is non-increasing so a linear scan over κ+1
 	// knots is fine (κ is small and fixed).
-	w := c.SegmentWidth()
 	for i := 1; i <= last; i++ {
 		if c.ys[i] <= target {
 			span := c.ys[i-1] - c.ys[i]
@@ -155,7 +158,7 @@ func (c *Curve) Invert(target float64) float64 {
 			if span > 0 {
 				frac = (c.ys[i-1] - target) / span
 			}
-			return c.minDelta + w*(float64(i-1)+frac)
+			return c.minDelta + c.width*(float64(i-1)+frac)
 		}
 	}
 	return c.maxDelta

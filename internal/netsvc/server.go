@@ -476,7 +476,8 @@ func (s *Server) adaptLocked() error {
 }
 
 func assignmentFrame(station uint32, a *basestation.Assignment) []byte {
-	wa := wire.Assignment{Station: station, DefaultDelta: a.DefaultDelta}
+	wa := wire.Assignment{Station: station, DefaultDelta: a.DefaultDelta,
+		Entries: make([]wire.AssignmentEntry, 0, len(a.Regions))}
 	for i, r := range a.Regions {
 		wa.Entries = append(wa.Entries, wire.EntryFromRect(r, a.Deltas[i]))
 	}

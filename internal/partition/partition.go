@@ -14,6 +14,7 @@ package partition
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"lira/internal/container/iheap"
 	"lira/internal/fmodel"
@@ -130,148 +131,149 @@ func AlphaFor(l int, x float64) int {
 	return 1 << e
 }
 
-// quadTree holds the Stage-I aggregation. Level d is a 2^d × 2^d grid of
-// regions; level depth equals log2(alpha).
-type quadTree struct {
-	space geo.Rect
-	depth int // leaf level
-	// n, m, s indexed by [level][row*side+col]
-	n, m, s [][]float64
+// scratch is GridReduce's reusable working state. Stage I's pyramid is one
+// flat arena in 4-ary heap order: node 0 is the whole space and node t's
+// quadrants are 4t+1 … 4t+4 (west-south, east-south, west-north,
+// east-north), so a node is an int, its children are one contiguous
+// slice, and the levels need no tables of their own. The arena stops above
+// the leaf level — three quarters of the pyramid, and the drill-down
+// seldom gets there: a grid cell's statistics are read from the grid when
+// asked for. Nothing in a scratch outlives the call: the returned
+// Partitioning is built from copies, and the grid is let go on return.
+type scratch struct {
+	grid   *statgrid.Grid
+	leaf0  int                     // first node of the leaf level, (α²−1)/3
+	arena  []throttler.RegionStat  // nodes 0 … leaf0−1
+	kids   [4]throttler.RegionStat // the children of a bottom-level node, gathered from the grid
+	heap   iheap.Heap              // explored, still-splittable frontier by accuracy gain
+	nodes  []int                   // frontier node per heap id, in push order; -1 once taken
+	leaves []int                   // popped grid-cell leaves
+	greedy throttler.Greedy
+	evals  int // accuracy gains computed, read by the complexity test
 }
 
-// nodeRef identifies a tree node.
-type nodeRef struct {
-	level, col, row int
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// deinterleave gathers the even bits of v: the column of a node's offset
+// within its level (the row is deinterleave(v >> 1)).
+func deinterleave(v int) int {
+	x := uint32(v) & 0x55555555
+	x = (x | x>>1) & 0x33333333
+	x = (x | x>>2) & 0x0f0f0f0f
+	x = (x | x>>4) & 0x00ff00ff
+	x = (x | x>>8) & 0x0000ffff
+	return int(x)
 }
 
-func (t *quadTree) side(level int) int { return 1 << level }
-
-func (t *quadTree) idx(r nodeRef) int { return r.row*t.side(r.level) + r.col }
-
-func (t *quadTree) rect(r nodeRef) geo.Rect {
-	side := float64(t.side(r.level))
-	w := t.space.Width() / side
-	h := t.space.Height() / side
+// rect returns the area node t covers.
+func (sc *scratch) rect(t int) geo.Rect {
+	first, side := 0, 1 // first node and cells per side of t's level
+	for 4*first+1 <= t {
+		first, side = 4*first+1, 2*side
+	}
+	col, row := deinterleave(t-first), deinterleave((t-first)>>1)
+	space := sc.grid.Space()
+	w := space.Width() / float64(side)
+	h := space.Height() / float64(side)
 	return geo.Rect{
-		MinX: t.space.MinX + float64(r.col)*w,
-		MinY: t.space.MinY + float64(r.row)*h,
-		MaxX: t.space.MinX + float64(r.col+1)*w,
-		MaxY: t.space.MinY + float64(r.row+1)*h,
+		MinX: space.MinX + float64(col)*w,
+		MinY: space.MinY + float64(row)*h,
+		MaxX: space.MinX + float64(col+1)*w,
+		MaxY: space.MinY + float64(row+1)*h,
 	}
 }
 
-func (t *quadTree) children(r nodeRef) [4]nodeRef {
-	return [4]nodeRef{
-		{r.level + 1, 2 * r.col, 2 * r.row},
-		{r.level + 1, 2*r.col + 1, 2 * r.row},
-		{r.level + 1, 2 * r.col, 2*r.row + 1},
-		{r.level + 1, 2*r.col + 1, 2*r.row + 1},
+// stat returns node t's aggregated statistics.
+func (sc *scratch) stat(t int) throttler.RegionStat {
+	if t < sc.leaf0 {
+		return sc.arena[t]
 	}
+	k := t - sc.leaf0
+	n, m, s := sc.grid.Cell(deinterleave(k), deinterleave(k>>1))
+	return throttler.RegionStat{N: n, M: m, S: s}
 }
 
-func (t *quadTree) stat(r nodeRef) throttler.RegionStat {
-	i := t.idx(r)
-	return throttler.RegionStat{N: t.n[r.level][i], M: t.m[r.level][i], S: t.s[r.level][i]}
+// children returns the statistics of node t's four quadrants, valid until
+// the next call.
+func (sc *scratch) children(t int) []throttler.RegionStat {
+	if 4*t+1 < sc.leaf0 {
+		return sc.arena[4*t+1 : 4*t+5]
+	}
+	for q := range sc.kids {
+		sc.kids[q] = sc.stat(4*t + 1 + q)
+	}
+	return sc.kids[:]
 }
 
-// buildTree aggregates the statistics grid bottom-up (Stage I, O(α²)).
-// The grid's alpha must be a power of two.
-func buildTree(g *statgrid.Grid) (*quadTree, error) {
+// build aggregates the statistics grid bottom-up (Stage I, O(α²)). The
+// grid's alpha must be a power of two.
+func (sc *scratch) build(g *statgrid.Grid) error {
 	alpha := g.Alpha()
 	if alpha&(alpha-1) != 0 {
-		return nil, fmt.Errorf("partition: alpha %d is not a power of two", alpha)
+		return fmt.Errorf("partition: alpha %d is not a power of two", alpha)
 	}
-	depth := 0
-	for 1<<depth < alpha {
-		depth++
+	sc.grid = g
+	sc.leaf0 = (alpha*alpha - 1) / 3
+	if cap(sc.arena) < sc.leaf0 {
+		sc.arena = make([]throttler.RegionStat, sc.leaf0)
 	}
-	t := &quadTree{space: g.Space(), depth: depth}
-	t.n = make([][]float64, depth+1)
-	t.m = make([][]float64, depth+1)
-	t.s = make([][]float64, depth+1)
-	for d := 0; d <= depth; d++ {
-		side := t.side(d)
-		t.n[d] = make([]float64, side*side)
-		t.m[d] = make([]float64, side*side)
-		t.s[d] = make([]float64, side*side)
-	}
-	// Leaves from the grid cells.
-	for j := 0; j < alpha; j++ {
-		for i := 0; i < alpha; i++ {
-			n, m, s := g.Cell(i, j)
-			c := j*alpha + i
-			t.n[depth][c] = n
-			t.m[depth][c] = m
-			t.s[depth][c] = s
-		}
-	}
+	sc.arena = sc.arena[:sc.leaf0]
 	// Upward aggregation: n and m sum; s is the node-weighted mean.
-	for d := depth - 1; d >= 0; d-- {
-		side := t.side(d)
-		for row := 0; row < side; row++ {
-			for col := 0; col < side; col++ {
-				ref := nodeRef{d, col, row}
-				var n, m, sw float64
-				for _, ch := range t.children(ref) {
-					ci := t.idx(ch)
-					n += t.n[d+1][ci]
-					m += t.m[d+1][ci]
-					sw += t.n[d+1][ci] * t.s[d+1][ci]
-				}
-				i := t.idx(ref)
-				t.n[d][i] = n
-				t.m[d][i] = m
-				if n > 0 {
-					t.s[d][i] = sw / n
-				} else {
-					// Preserve a plausible speed for empty regions: plain
-					// mean of children.
-					var sum float64
-					for _, ch := range t.children(ref) {
-						sum += t.s[d+1][t.idx(ch)]
-					}
-					t.s[d][i] = sum / 4
-				}
-			}
+	for t := sc.leaf0 - 1; t >= 0; t-- {
+		var n, m, sw, sum float64
+		for _, ch := range sc.children(t) {
+			n += ch.N
+			m += ch.M
+			sw += ch.N * ch.S
+			sum += ch.S
 		}
+		// Preserve a plausible speed for empty regions: plain mean of
+		// children.
+		s := sum / 4
+		if n > 0 {
+			s = sw / n
+		}
+		sc.arena[t] = throttler.RegionStat{N: n, M: m, S: s}
 	}
-	return t, nil
+	return nil
 }
 
 // accuracyGain computes V[t] = E[t] − E_p[t] (CALCERRGAIN in Algorithm 1):
-// the reduction in optimal inaccuracy from splitting node ref into its
-// four children, under throttle fraction z.
-func (t *quadTree) accuracyGain(ref nodeRef, z float64, curve *fmodel.Curve) float64 {
-	if ref.level == t.depth {
+// the reduction in optimal inaccuracy from splitting node t into its four
+// children, under throttle fraction z.
+func (sc *scratch) accuracyGain(t int, z float64, curve *fmodel.Curve) float64 {
+	sc.evals++
+	if t >= sc.leaf0 {
 		return 0 // grid-cell leaf: no further partitioning is possible
 	}
-	st := t.stat(ref)
 	// E: one region. The optimal single Δ is the smallest with
 	// f(Δ) ≤ z·f(Δ⊢).
-	e := st.M * curve.Invert(z)
-
-	children := t.children(ref)
-	stats := make([]throttler.RegionStat, 4)
-	for i, ch := range children {
-		stats[i] = t.stat(ch)
-	}
-	res, err := throttler.SetThrottlers(stats, curve, throttler.Options{
-		Z:        z,
-		Fairness: throttler.NoFairness(curve),
-	})
-	if err != nil {
-		// Options are constructed valid; an error here is a programming
-		// bug, not an input condition.
-		panic(err)
-	}
-	ep := res.InAcc
+	e := sc.stat(t).M * curve.Invert(z)
+	ep := sc.greedy.InAcc(sc.children(t), curve, z)
 	if gain := e - ep; gain > 0 {
 		return gain
 	}
 	return 0
 }
 
-// GridReduce builds the (α,l)-partitioning over the statistics grid.
+// push adds node t to the frontier under the next heap id.
+func (sc *scratch) push(t int, z float64, curve *fmodel.Curve) {
+	sc.heap.Push(len(sc.nodes), sc.accuracyGain(t, z, curve))
+	sc.nodes = append(sc.nodes, t)
+}
+
+// split replaces frontier entry id, already off the heap, by its node's
+// four children.
+func (sc *scratch) split(id int, z float64, curve *fmodel.Curve) {
+	t := sc.nodes[id]
+	sc.nodes[id] = -1
+	for ch := 4*t + 1; ch <= 4*t+4; ch++ {
+		sc.push(ch, z, curve)
+	}
+}
+
+// GridReduce builds the (α,l)-partitioning over the statistics grid. The
+// result is freshly allocated and the caller's to keep.
 func GridReduce(g *statgrid.Grid, cfg Config) (*Partitioning, error) {
 	if cfg.Curve == nil {
 		return nil, fmt.Errorf("partition: nil curve")
@@ -282,23 +284,21 @@ func GridReduce(g *statgrid.Grid, cfg Config) (*Partitioning, error) {
 	if cfg.L < 1 {
 		return nil, fmt.Errorf("partition: non-positive region count %d", cfg.L)
 	}
-	t, err := buildTree(g)
-	if err != nil {
+	sc := scratchPool.Get().(*scratch)
+	defer func() {
+		sc.grid = nil
+		scratchPool.Put(sc)
+	}()
+	return sc.gridReduce(g, cfg)
+}
+
+func (sc *scratch) gridReduce(g *statgrid.Grid, cfg Config) (*Partitioning, error) {
+	if err := sc.build(g); err != nil {
 		return nil, err
 	}
 	target := ValidRegionCount(cfg.L)
+	z, curve := cfg.Z, cfg.Curve
 
-	// Stage II: drill down by accuracy gain. The heap holds explored,
-	// still-splittable nodes; leaves move to the final list.
-	var h iheap.Heap
-	refByID := map[int]nodeRef{}
-	nextID := 0
-	push := func(ref nodeRef) {
-		id := nextID
-		nextID++
-		refByID[id] = ref
-		h.Push(id, t.accuracyGain(ref, cfg.Z, cfg.Curve))
-	}
 	// Reserve a fraction of the splits for the query-protection phase.
 	totalSplits := (target - 1) / 3
 	protectSplits := 0
@@ -307,73 +307,70 @@ func GridReduce(g *statgrid.Grid, cfg Config) (*Partitioning, error) {
 	}
 	mainTarget := target - 3*protectSplits
 
+	// Stage II: drill down by accuracy gain. The heap holds explored,
+	// still-splittable nodes; leaves move to the final list.
+	h := &sc.heap
+	frontier := min(4*totalSplits+1, 4*sc.leaf0+1) // pushes: root + 4 per split, each a distinct node
+	h.Reset(frontier)
+	if cap(sc.nodes) < frontier {
+		sc.nodes = make([]int, 0, frontier)
+	}
+	sc.nodes, sc.leaves, sc.evals = sc.nodes[:0], sc.leaves[:0], 0
 	var drill DrillStats
-	var leaves []nodeRef
-	push(nodeRef{0, 0, 0})
-	for len(leaves)+h.Len() < mainTarget && h.Len() > 0 {
+	sc.push(0, z, curve)
+	for len(sc.leaves)+h.Len() < mainTarget && h.Len() > 0 {
 		id, _ := h.PopMax()
-		ref := refByID[id]
-		delete(refByID, id)
-		if ref.level == t.depth {
+		if t := sc.nodes[id]; t >= sc.leaf0 {
 			drill.SplitsRejected++
-			leaves = append(leaves, ref)
+			sc.leaves = append(sc.leaves, t)
+			sc.nodes[id] = -1
 			continue
 		}
 		drill.SplitsTaken++
-		for _, ch := range t.children(ref) {
-			push(ch)
-		}
+		sc.split(id, z, curve)
 	}
 
 	// Protection phase (extension): split the splittable regions whose
 	// queries are most exposed — large node mass per unit of query mass.
-	if protectSplits > 0 {
-		risk := func(ref nodeRef) float64 {
-			st := t.stat(ref)
-			if st.M <= 0 || ref.level == t.depth {
-				return -1
+	// The frontier is scanned in push order and the first maximum wins, so
+	// tied risks split the same region on every run.
+	for s := 0; s < protectSplits; s++ {
+		bestID, bestRisk := -1, 0.0
+		for id, t := range sc.nodes {
+			if t < 0 || t >= sc.leaf0 {
+				continue // taken, or an unsplittable grid cell
 			}
-			return st.N * st.S / st.M
-		}
-		for s := 0; s < protectSplits; s++ {
-			bestID, bestRisk := -1, 0.0
-			for id, ref := range refByID {
-				if r := risk(ref); r > bestRisk {
-					bestID, bestRisk = id, r
+			if st := sc.arena[t]; st.M > 0 { // t < leaf0: an arena node
+				if risk := st.N * st.S / st.M; risk > bestRisk {
+					bestID, bestRisk = id, risk
 				}
-			}
-			if bestID == -1 {
-				// Nothing protectable left: spend the split on gain.
-				if h.Len() == 0 {
-					break
-				}
-				id, _ := h.PeekMax()
-				bestID = id
-				if refByID[bestID].level == t.depth {
-					break
-				}
-			}
-			ref := refByID[bestID]
-			h.Remove(bestID)
-			delete(refByID, bestID)
-			drill.ProtectSplits++
-			for _, ch := range t.children(ref) {
-				push(ch)
 			}
 		}
+		if bestID == -1 {
+			// Nothing protectable left: spend the split on gain.
+			if h.Len() == 0 {
+				break
+			}
+			if bestID, _ = h.PeekMax(); sc.nodes[bestID] >= sc.leaf0 {
+				break
+			}
+		}
+		h.Remove(bestID)
+		drill.ProtectSplits++
+		sc.split(bestID, z, curve)
 	}
 
-	p := &Partitioning{Space: t.space, Drill: drill}
-	emit := func(ref nodeRef) {
-		st := t.stat(ref)
-		p.Regions = append(p.Regions, Region{Area: t.rect(ref), N: st.N, M: st.M, S: st.S})
+	p := &Partitioning{Space: g.Space(), Drill: drill, Regions: make([]Region, 0, len(sc.leaves)+h.Len())}
+	emit := func(t int) {
+		st := sc.stat(t)
+		p.Regions = append(p.Regions, Region{Area: sc.rect(t), N: st.N, M: st.M, S: st.S})
 	}
-	for _, ref := range leaves {
-		emit(ref)
+	for _, t := range sc.leaves {
+		emit(t)
 	}
 	for h.Len() > 0 {
 		id, _ := h.PopMax()
-		emit(refByID[id])
+		emit(sc.nodes[id])
 	}
 	return p, nil
 }

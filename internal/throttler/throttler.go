@@ -15,9 +15,9 @@ package throttler
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"lira/internal/container/iheap"
-	"lira/internal/container/treap"
 	"lira/internal/fmodel"
 )
 
@@ -73,8 +73,29 @@ type Result struct {
 	FairnessClamps int
 }
 
+// Greedy is GREEDYINCREMENT's working state: the expenditure weights wᵢ, the
+// throttlers Δᵢ being raised, the heap of update gains, the heap that
+// keeps the minimum throttler Δ⊵ on top (it anchors the fairness limit),
+// and the list of regions parked at that limit. The zero value is ready
+// to use. Reusing one Greedy across calls makes the greedy loop
+// allocation-free once its slices have grown to the largest region count
+// seen; it never retains the caller's stats and must not be shared
+// between goroutines.
+type Greedy struct {
+	w, deltas []float64
+	gains     iheap.Heap // update gain Sᵢ of every region still being raised
+	lowest    iheap.Heap // −Δᵢ of every region, so the top is Δ⊵
+	blocked   []int      // regions parked at the fairness limit Δ⊵ + Δ⇔
+	steps     int        // greedy pops of the last run, read by the complexity test
+}
+
+// greedyPool backs SetThrottlers, whose signature has no place for a
+// caller-owned Greedy.
+var greedyPool = sync.Pool{New: func() any { return new(Greedy) }}
+
 // SetThrottlers runs GREEDYINCREMENT over the given regions. It returns an
 // error for invalid options. An empty region list yields an empty result.
+// The result is freshly allocated and the caller's to keep.
 func SetThrottlers(stats []RegionStat, curve *fmodel.Curve, opts Options) (*Result, error) {
 	if curve == nil {
 		return nil, fmt.Errorf("throttler: nil curve")
@@ -92,93 +113,108 @@ func SetThrottlers(stats []RegionStat, curve *fmodel.Curve, opts Options) (*Resu
 	if inc < 0 {
 		return nil, fmt.Errorf("throttler: negative increment %v", inc)
 	}
+	if len(stats) == 0 {
+		return &Result{Deltas: []float64{}, BudgetMet: true}, nil
+	}
 
+	g := greedyPool.Get().(*Greedy)
+	defer greedyPool.Put(g)
+	res := &Result{Gains: make([]float64, len(stats))}
+	res.Expenditure, res.Budget, res.FairnessClamps = g.run(stats, curve, opts.Z, inc, opts.Fairness, opts.UseSpeed)
+	res.BudgetMet = res.Expenditure <= res.Budget+eps*res.Budget+eps
+	res.Deltas = append([]float64(nil), g.deltas...)
+	res.InAcc = inAcc(stats, res.Deltas)
+	for i := range res.Gains {
+		res.Gains[i] = g.gain(stats, curve, i)
+	}
+	return res, nil
+}
+
+// InAcc returns the optimal objective Σ mᵢ·Δᵢ for the regions under
+// throttle fraction z, with the curve's own increment and neither the
+// fairness constraint nor the speed factor: what SetThrottlers reports as
+// Result.InAcc for those options, without building a Result. GRIDREDUCE's
+// accuracy gain evaluates it on the four children of every explored node.
+func (g *Greedy) InAcc(stats []RegionStat, curve *fmodel.Curve, z float64) float64 {
+	g.run(stats, curve, z, curve.SegmentWidth(), NoFairness(curve), false)
+	return inAcc(stats, g.deltas)
+}
+
+// eps is the tolerance of the budget and fairness-limit comparisons.
+const eps = 1e-9
+
+// gain returns the update gain Sᵢ at the region's current Δ. Regions with
+// no queries have unbounded gain (+Inf): shedding there is free.
+func (g *Greedy) gain(stats []RegionStat, curve *fmodel.Curve, i int) float64 {
+	r := curve.Rate(g.deltas[i])
+	if m := stats[i].M; m != 0 {
+		return g.w[i] / m * r
+	}
+	if g.w[i]*r > 0 {
+		return math.Inf(1)
+	}
+	// No queries and no expenditure to recover: harmless but pointless;
+	// keep it at the bottom of the heap.
+	return 0
+}
+
+// run is the greedy loop. It leaves the throttlers in g.deltas and the
+// weights in g.w, and returns the expenditure reached, the budget z·u₀
+// and the number of fairness clamps. Options are the caller's to validate.
+func (g *Greedy) run(stats []RegionStat, curve *fmodel.Curve, z, inc, fairness float64, useSpeed bool) (u, budget float64, clamps int) {
 	l := len(stats)
 	dl, dh := curve.MinDelta(), curve.MaxDelta()
-	res := &Result{Deltas: make([]float64, l)}
-	for i := range res.Deltas {
-		res.Deltas[i] = dl
-	}
-	if l == 0 {
-		res.BudgetMet = true
-		return res, nil
-	}
+	g.steps = 0
 
 	// Region expenditure weight wᵢ: nᵢ·sᵢ/ŝ with the speed factor, nᵢ
 	// without. Using sᵢ/ŝ (rather than raw sᵢ) keeps the expenditure in
 	// "updates" units; the constraint is equivalent.
-	w := make([]float64, l)
 	var totalN, totalNS float64
 	for _, st := range stats {
 		totalN += st.N
 		totalNS += st.N * st.S
 	}
-	for i, st := range stats {
-		if opts.UseSpeed && totalNS > 0 {
-			w[i] = st.N * st.S * totalN / totalNS
-		} else {
-			w[i] = st.N
+	if cap(g.w) < l {
+		g.w, g.deltas, g.blocked = make([]float64, 0, l), make([]float64, 0, l), make([]int, 0, l)
+	}
+	g.w, g.deltas = g.w[:0], g.deltas[:0]
+	for _, st := range stats {
+		w := st.N
+		if useSpeed && totalNS > 0 {
+			w = st.N * st.S * totalN / totalNS
 		}
+		g.w = append(g.w, w)
+		g.deltas = append(g.deltas, dl)
 	}
 
-	// gain returns the update gain Sᵢ at the region's current Δ. Regions
-	// with no queries have unbounded gain (+Inf): shedding there is free.
-	gain := func(i int) float64 {
-		st := stats[i]
-		r := curve.Rate(res.Deltas[i])
-		if st.M == 0 {
-			if w[i]*r > 0 {
-				return math.Inf(1)
-			}
-			// No queries and no expenditure to recover: harmless but
-			// pointless; keep it at the bottom of the heap.
-			return 0
-		}
-		return w[i] / st.M * r
-	}
-	finalGains := func() []float64 {
-		out := make([]float64, l)
-		for i := range out {
-			out[i] = gain(i)
-		}
-		return out
-	}
-
-	fAtMin := curve.Eval(dl) // == 1 by construction
-	u := totalN * fAtMin
-	budget := opts.Z * u
-	res.Budget = budget
+	u = totalN * curve.Eval(dl) // f(Δ⊢) == 1 by construction
+	budget = z * u
 	if u <= budget {
-		// Nothing to shed.
-		res.Expenditure = u
-		res.BudgetMet = true
-		res.InAcc = inAcc(stats, res.Deltas)
-		res.Gains = finalGains()
-		return res, nil
+		return u, budget, 0 // nothing to shed
 	}
 
-	var h iheap.Heap
-	var deltas treap.Multiset
+	g.gains.Reset(l)
+	g.lowest.Reset(l)
+	g.blocked = g.blocked[:0]
 	for i := 0; i < l; i++ {
-		h.Push(i, gain(i))
-		deltas.Insert(res.Deltas[i])
+		g.gains.Push(i, g.gain(stats, curve, i))
+		g.lowest.Push(i, -dl)
 	}
-	// blocked holds regions parked at the fairness limit Δ⊵ + Δ⇔.
-	var blocked []int
 
-	const eps = 1e-9
-	for u > budget+eps*budget && h.Len() > 0 {
-		i, _ := h.PopMax()
-		old := res.Deltas[i]
-		oldMin, _ := deltas.Min()
+	for u > budget+eps*budget && g.gains.Len() > 0 {
+		g.steps++
+		i, _ := g.gains.PopMax()
+		old := g.deltas[i]
+		_, negMin := g.lowest.PeekMax()
+		oldMin := -negMin
 
 		// Step to the next knot of f (relative to Δ⊢) but never past the
 		// fairness limit, the budget-exact point, or Δ⊣.
 		nextKnot := dl + inc*(math.Floor((old-dl)/inc+1))
-		limit := math.Min(nextKnot, oldMin+opts.Fairness)
+		limit := math.Min(nextKnot, oldMin+fairness)
 		// w[i] already carries the speed factor when enabled, so the
 		// expenditure-decrease rate is w[i]·r(Δ) in both modes.
-		rate := w[i] * curve.Rate(old)
+		rate := g.w[i] * curve.Rate(old)
 		if rate > 0 {
 			exact := old + (u-budget)/rate
 			limit = math.Min(limit, exact)
@@ -188,43 +224,39 @@ func SetThrottlers(stats []RegionStat, curve *fmodel.Curve, opts Options) (*Resu
 			// Fairness pins this region at the current minimum (Δ⇔ = 0
 			// with everything equal, or it is already at the limit).
 			// Park it; it re-enters when the minimum moves.
-			blocked = append(blocked, i)
-			res.FairnessClamps++
+			g.blocked = append(g.blocked, i)
+			clamps++
 			continue
 		}
 
-		res.Deltas[i] = next
+		g.deltas[i] = next
 		u -= (next - old) * rate
-		deltas.Replace(old, next)
-		newMin, _ := deltas.Min()
+		g.lowest.Update(i, -next)
+		_, negMin = g.lowest.PeekMax()
+		newMin := -negMin
 
 		switch {
-		case next-newMin >= opts.Fairness-eps && next < dh:
-			blocked = append(blocked, i)
-			res.FairnessClamps++
+		case next-newMin >= fairness-eps && next < dh:
+			g.blocked = append(g.blocked, i)
+			clamps++
 		case next < dh:
-			h.Push(i, gain(i))
+			g.gains.Push(i, g.gain(stats, curve, i))
 		}
 
 		if newMin != oldMin {
 			// Re-admit blocked regions that are no longer at the limit.
-			kept := blocked[:0]
-			for _, j := range blocked {
-				if res.Deltas[j]-newMin < opts.Fairness-eps && res.Deltas[j] < dh {
-					h.Push(j, gain(j))
+			kept := g.blocked[:0]
+			for _, j := range g.blocked {
+				if g.deltas[j]-newMin < fairness-eps && g.deltas[j] < dh {
+					g.gains.Push(j, g.gain(stats, curve, j))
 				} else {
 					kept = append(kept, j)
 				}
 			}
-			blocked = kept
+			g.blocked = kept
 		}
 	}
-
-	res.Expenditure = u
-	res.BudgetMet = u <= budget+eps*budget+eps
-	res.InAcc = inAcc(stats, res.Deltas)
-	res.Gains = finalGains()
-	return res, nil
+	return u, budget, clamps
 }
 
 func inAcc(stats []RegionStat, deltas []float64) float64 {
@@ -236,7 +268,7 @@ func inAcc(stats []RegionStat, deltas []float64) float64 {
 }
 
 // InAccuracy returns the objective Σ mᵢ·Δᵢ for an arbitrary assignment —
-// exported for tests and for GRIDREDUCE's accuracy-gain computation.
+// exported for tests, the analytic policies and the planner.
 func InAccuracy(stats []RegionStat, deltas []float64) float64 {
 	return inAcc(stats, deltas)
 }

@@ -115,4 +115,7 @@ sh scripts/measured_smoke.sh
 echo "== socket bench smoke (ingest_ramp: live K=2 lirad, ledger + oracle checks) =="
 go run ./bench -smoke -workload ingest_ramp
 
+echo "== socket bench smoke (shed_adapt: control-plane path, region count, budget, design split) =="
+go run ./bench -smoke -workload shed_adapt
+
 echo "check: OK"
