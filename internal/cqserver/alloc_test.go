@@ -151,3 +151,45 @@ func TestAllocsEvaluate(t *testing.T) {
 		t.Errorf("Evaluate allocates %.1f/op in steady state, want ≤1", allocs)
 	}
 }
+
+// EvaluateQuery — the registration path — walks the motion table into
+// the query's pooled result slot: nothing allocates once the slot has
+// grown.
+func TestAllocsEvaluateQuery(t *testing.T) {
+	pinSerial(t)
+	s, _ := allocServer(t)
+	const now = 1.0
+	for qi := range s.Queries() {
+		s.EvaluateQuery(now, qi)
+	}
+	qi := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		s.EvaluateQuery(now, qi%len(s.Queries()))
+		qi++
+	})
+	if allocs != 0 {
+		t.Errorf("EvaluateQuery allocates %.1f/op in steady state, want 0", allocs)
+	}
+}
+
+// ObserveSelf folds the server's own predictions into the grid from
+// pooled buffers, both when it runs its own predict pass and when it
+// reuses Evaluate's.
+func TestAllocsObserveSelf(t *testing.T) {
+	pinSerial(t)
+	s, _ := allocServer(t)
+	now := 1.0
+	s.ObserveSelf(now) // grow the sample buffers
+	allocs := testing.AllocsPerRun(100, func() {
+		now += 0.5
+		s.ObserveSelf(now)
+	})
+	if allocs != 0 {
+		t.Errorf("ObserveSelf (own predict pass) allocates %.1f/op in steady state, want 0", allocs)
+	}
+	s.Evaluate(now)
+	allocs = testing.AllocsPerRun(100, func() { s.ObserveSelf(now) })
+	if allocs != 0 {
+		t.Errorf("ObserveSelf (reusing Evaluate) allocates %.1f/op in steady state, want 0", allocs)
+	}
+}

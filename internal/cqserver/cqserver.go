@@ -9,6 +9,7 @@ package cqserver
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -97,6 +98,16 @@ type Server struct {
 	evalNow   float64
 	predictFn func(shard, lo, hi int)
 	scanFn    func(shard, lo, hi int)
+
+	// predNow is the instant predicted and active were last filled at;
+	// predOK says they still describe the motion table. A Drain that
+	// applied records, an Apply, or a degraded-mode switch clears it, so
+	// ObserveSelf reuses a pass only when re-running it would produce the
+	// same bits. obsPos/obsSpd are ObserveSelf's pooled sample.
+	predNow float64
+	predOK  bool
+	obsPos  []geo.Point
+	obsSpd  []float64
 
 	history *history.Store
 	applied int64
@@ -265,6 +276,9 @@ func (s *Server) Drain(limit int) int {
 	}
 	applied := len(a) + len(b)
 	s.applied += int64(applied)
+	if applied > 0 {
+		s.predOK = false
+	}
 	if s.tel != nil {
 		s.tel.applied.Add(int64(applied))
 	}
@@ -274,6 +288,7 @@ func (s *Server) Drain(limit int) int {
 // Apply installs an update directly, bypassing the queue (used by the
 // harness's reference run, which models an infinitely provisioned server).
 func (s *Server) Apply(u Update) {
+	s.predOK = false
 	s.table.Apply(u.Node, u.Report)
 	if s.history != nil {
 		// Ignore out-of-order reports: a reconnecting node may replay an
@@ -305,6 +320,35 @@ func (s *Server) ObserveStatistics(positions []geo.Point, speeds []float64) {
 		s.tel.gridNodes.Set(n)
 		s.tel.gridQueries.Set(m)
 	}
+}
+
+// ObserveSelf folds the server's own beliefs at now into the statistics
+// grid: every known node's clamped dead-reckoned position and reported
+// speed, in id order, as one ObserveStatistics round (none when no node
+// is known). An Evaluate at the same now already predicted the table as
+// it still stands, so its pass is reused; otherwise the parallel predict
+// pass runs here.
+func (s *Server) ObserveSelf(now float64) {
+	if !s.predOK || s.predNow != now {
+		s.predict(now)
+	}
+	s.obsPos, s.obsSpd = s.obsPos[:0], s.obsSpd[:0]
+	for i, ok := range s.active {
+		if ok {
+			s.obsPos = append(s.obsPos, s.predicted[i])
+			s.obsSpd = append(s.obsSpd, math.Hypot(s.cols.VX[i], s.cols.VY[i]))
+		}
+	}
+	if len(s.obsPos) > 0 {
+		s.ObserveStatistics(s.obsPos, s.obsSpd)
+	}
+}
+
+// predict fills predicted and active at now and stamps them for reuse.
+func (s *Server) predict(now float64) {
+	s.evalNow = now
+	par.ForChunks(s.cfg.Nodes, predictChunk, s.predictFn)
+	s.predNow, s.predOK = now, true
 }
 
 // Evaluate re-evaluates every registered query at time now against the
@@ -340,8 +384,7 @@ func (s *Server) Evaluate(now float64) [][]int {
 		root = s.tel.hub.Spans().Start("evaluate", "engine").Num("nodes", float64(s.cfg.Nodes)).Num("queries", float64(len(s.queries)))
 		sp = root.Child("predict", "engine")
 	}
-	s.evalNow = now
-	par.ForChunks(s.cfg.Nodes, predictChunk, s.predictFn)
+	s.predict(now)
 	if s.tel != nil {
 		t1 = time.Now()
 		sp.End()
@@ -390,9 +433,43 @@ func (s *Server) scanRange(_, lo, hi int) {
 	}
 }
 
+// EvaluateQuery answers query qi alone at time now into its result slot
+// and returns that slot (see EvaluateOne).
+func (s *Server) EvaluateQuery(now float64, qi int) []int {
+	return EvaluateOne(s.table, s.cfg.Space, s.queries, s.results, qi, now, s.degradedEval)
+}
+
+// EvaluateOne is EvaluateQuery's body, shared by both engines: it
+// rewrites results[qi] with the ids Evaluate would report for query qi at
+// now, and returns it. Normally that is every known node whose clamped
+// dead-reckoned position lies in the closed rect — the index scans' exact
+// test — found by walking the motion table's columns in id order, so the
+// ids come out ascending with no index and no sort. Degraded, it is
+// EvaluateDegraded on that one slot. Registering a query therefore costs
+// one pass over the table instead of a full Evaluate; it counts as no
+// evaluation on the telemetry.
+func EvaluateOne(table *motion.Table, space geo.Rect, queries []geo.Rect, results [][]int, qi int, now float64, degraded bool) []int {
+	if degraded {
+		EvaluateDegraded(table, space, queries[qi:qi+1], results[qi:qi+1], now, nil)
+		return results[qi]
+	}
+	q, cols := queries[qi], table.Columns()
+	ids := results[qi][:0]
+	for i, ok := range cols.Known {
+		if ok && q.ContainsClosed(space.ClampPoint(cols.Predict(i, now))) {
+			ids = append(ids, i)
+		}
+	}
+	results[qi] = ids
+	return ids
+}
+
 // SetDegradedEval switches Evaluate to prediction-only mode (see
 // EvaluateDegraded). Single-caller, like Evaluate.
-func (s *Server) SetDegradedEval(on bool) { s.degradedEval = on }
+func (s *Server) SetDegradedEval(on bool) {
+	s.degradedEval = on
+	s.predOK = false
+}
 
 // SetCompactionDeferred is a no-op on the unsharded server: its index is
 // rebuilt in full every evaluation round, so there is no compaction debt

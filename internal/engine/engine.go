@@ -13,6 +13,15 @@
 // queue accounting and the GRIDREDUCE → GREEDYINCREMENT wiring each exist
 // exactly once regardless of which engine runs. The engines differ in
 // Evaluate, the index, and who owns the statistics grid.
+//
+// A serving tick is Drain → Evaluate → ObserveSelf → Adapt, and a query
+// registration is RegisterQueries → Drain → EvaluateQuery. Neither does
+// Evaluate's work twice: ObserveSelf refills the statistics grid from the
+// engine's own motion table (reusing Evaluate's predictions where it can),
+// and EvaluateQuery answers the one registered query from the motion
+// table's columns, with no index work and no other query touched. Both
+// are exact: the grid is bit-identical to an ObserveStatistics round over
+// an id-ordered snapshot, and EvaluateQuery's ids are Evaluate's.
 package engine
 
 import (
@@ -35,6 +44,7 @@ type Info = cqserver.EngineInfo
 // drive loop); netsvc serialises producers under its mutex.
 type Engine interface {
 	// RegisterQueries replaces the registered continuous range queries.
+	// The engine copies qs, so the caller may reuse the slice.
 	RegisterQueries(qs []geo.Rect)
 	// Queries returns the registered queries.
 	Queries() []geo.Rect
@@ -58,6 +68,12 @@ type Engine interface {
 
 	// Evaluate re-evaluates every query at time now, ids ascending.
 	Evaluate(now float64) [][]int
+	// EvaluateQuery answers query qi alone at time now: the ids Evaluate
+	// would report for it (in degraded mode, that slot's degraded
+	// refresh), ids ascending, from one pass over the motion table with
+	// no index work. It writes and returns the engine's own result slot
+	// for qi and leaves every other slot alone. The registration path.
+	EvaluateQuery(now float64, qi int) []int
 	// SetDegradedEval switches Evaluate to prediction-only mode while on
 	// (the admission ladder's critical rung): each query's previous
 	// members are refreshed by dead reckoning and departures dropped, but
@@ -76,6 +92,14 @@ type Engine interface {
 
 	// ObserveStatistics folds one sampling round into the statistics grid.
 	ObserveStatistics(positions []geo.Point, speeds []float64)
+	// ObserveSelf folds the engine's own beliefs at now into the grid —
+	// every known node's clamped dead-reckoned position and reported
+	// speed, in id order, as one ObserveStatistics round; nothing when no
+	// node is known. It is the paper's "maintained by processing position
+	// updates" mode (§3.2.1), and the unsharded engine reuses the
+	// predictions of an Evaluate at the same now when no record has been
+	// applied since.
+	ObserveSelf(now float64)
 	// ObserveBusy accumulates busy time into the current rate window.
 	ObserveBusy(busy float64)
 	// StatsGrid returns the grid an adaptation partitions (the merged

@@ -8,10 +8,13 @@
 // spatially sharded shard.Server when ServerConfig.Shards > 1; both
 // produce byte-identical query results, so sharding is purely an
 // evaluation-parallelism knob. Periodic work — draining the input queue,
-// refreshing statistics, re-running the adaptation, evaluating queries —
-// happens on one background loop under the server mutex. Connection
-// goroutines funnel decoded messages, position updates included, through
-// the same mutex: the engine is single-caller.
+// evaluating queries, refreshing statistics from the same predictions,
+// re-running the adaptation — happens on one background loop under the
+// server mutex, and each connection's result frames leave in one Write
+// per tick. A registration answers its one query (Engine.EvaluateQuery),
+// not the whole set. Connection goroutines funnel decoded messages,
+// position updates included, through the same mutex: the engine is
+// single-caller.
 //
 // A report reaches the engine one way: an UpdateBatch frame decoded into
 // connection-owned columns, range-checked, and admitted by a single
@@ -33,11 +36,13 @@
 package netsvc
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"net"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -174,14 +179,9 @@ type Server struct {
 	nodeConns   map[uint32]*srvConn
 	nodeStation map[uint32]int
 	queryRegs   []queryReg // registration order, parallel to core queries
+	qrects      []geo.Rect // syncQueriesLocked's scratch; the engine copies it
 	lastAdapt   *cqserver.Adaptation
 	closed      bool
-
-	// obsPos/obsSpd are the pooled statistics-observation buffers: one
-	// snapshot per background tick reuses them instead of allocating two
-	// population-sized slices per tick. Guarded by mu.
-	obsPos []geo.Point
-	obsSpd []float64
 
 	wg   sync.WaitGroup
 	done chan struct{}
@@ -272,14 +272,17 @@ type queryReg struct {
 }
 
 type srvConn struct {
-	c  net.Conn
-	mu sync.Mutex // serializes frame writes
+	c   net.Conn
+	seq uint64     // accept order; groups a tick's result frames by connection
+	mu  sync.Mutex // serializes frame writes
 }
 
-func (sc *srvConn) send(frame []byte) error {
+// send writes one or more pre-encoded frames, back to back, in a single
+// Write.
+func (sc *srvConn) send(frames []byte) error {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return wire.WriteFrame(sc.c, frame)
+	return wire.WriteFrame(sc.c, frames)
 }
 
 // Listen starts a server on addr (e.g. "127.0.0.1:0").
@@ -486,13 +489,13 @@ func assignmentFrame(station uint32, a *basestation.Assignment) []byte {
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
-	for {
+	for seq := uint64(1); ; seq++ {
 		c, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		s.wg.Add(1)
-		go s.handleConn(&srvConn{c: c})
+		go s.handleConn(&srvConn{c: c, seq: seq})
 	}
 }
 
@@ -637,11 +640,11 @@ func (s *Server) dropConn(sc *srvConn, nodeID uint32, hasNode bool) {
 // syncQueriesLocked rebuilds the core's query set from the live
 // registrations (index-parallel to queryRegs).
 func (s *Server) syncQueriesLocked() {
-	qs := make([]geo.Rect, len(s.queryRegs))
-	for i, r := range s.queryRegs {
-		qs[i] = r.rect
+	s.qrects = s.qrects[:0]
+	for _, r := range s.queryRegs {
+		s.qrects = append(s.qrects, r.rect)
 	}
-	s.eng.RegisterQueries(qs)
+	s.eng.RegisterQueries(s.qrects)
 }
 
 // rejectFrame counts and journals a well-formed frame whose content the
@@ -816,8 +819,7 @@ func (s *Server) registerQuery(sc *srvConn, q wire.Query) {
 	s.syncQueriesLocked()
 	now := s.cfg.Clock()
 	s.eng.Drain(-1)
-	results := s.eng.Evaluate(now)
-	frame, _ := appendResultFrame(nil, nil, q.ID, results[idx])
+	frame, _ := appendResultFrame(nil, nil, q.ID, s.eng.EvaluateQuery(now, idx))
 	s.mu.Unlock()
 	if s.tel != nil {
 		s.tel.sentResult.Inc()
@@ -854,16 +856,23 @@ func (s *Server) backgroundLoop() {
 	ticks := 0
 	// One tick's result frames are encoded back to back into a buffer the
 	// loop owns and are written out before the next tick reuses it, so the
-	// steady-state push allocates nothing.
+	// steady-state push allocates nothing. They are encoded grouped by
+	// connection, each connection's in registration order, so one Write
+	// per connection carries the bytes frame-by-frame sends would.
 	type push struct {
 		sc         *srvConn
-		start, end int // the frame is frames[start:end]
+		start, end int // the connection's frames are frames[start:end]
+		n          int // frames in it, for lira_frames_sent_result_total
 	}
 	var (
 		pushes []push
+		order  []int // queryRegs indices, grouped by owner
 		frames []byte
 		ids    []uint32
 	)
+	byOwner := func(a, b int) int {
+		return cmp.Compare(s.queryRegs[a].owner.seq, s.queryRegs[b].owner.seq)
+	}
 	for {
 		select {
 		case <-s.done:
@@ -904,11 +913,34 @@ func (s *Server) backgroundLoop() {
 		sp := root.Child("drain", "netsvc")
 		drained := s.eng.Drain(limit)
 		sp.Num("applied", float64(drained)).End()
+		pushes, frames = pushes[:0], frames[:0]
+		if s.cfg.EvalEvery > 0 && len(s.queryRegs) > 0 {
+			sp = root.Child("evaluate", "netsvc")
+			results := s.eng.Evaluate(now)
+			sp.Num("queries", float64(len(results))).End()
+			order = order[:0]
+			for qi := range s.queryRegs {
+				order = append(order, qi)
+			}
+			slices.SortStableFunc(order, byOwner)
+			for _, qi := range order {
+				reg := s.queryRegs[qi]
+				start := len(frames)
+				frames, ids = appendResultFrame(frames, ids, reg.clientID, results[qi])
+				if last := len(pushes) - 1; last >= 0 && pushes[last].sc == reg.owner {
+					pushes[last].end = len(frames)
+					pushes[last].n++
+				} else {
+					pushes = append(pushes, push{reg.owner, start, len(frames), 1})
+				}
+			}
+		}
 		// Refresh the statistics grid from the server's own beliefs (the
 		// paper's "explicitly maintained by processing position updates"
-		// mode): predicted positions and reported speeds.
+		// mode): predicted positions and reported speeds. The unsharded
+		// engine reuses the predictions Evaluate just made.
 		sp = root.Child("stats", "netsvc")
-		s.observeStatsLocked(now)
+		s.eng.ObserveSelf(now)
 		sp.End()
 		if rungChanged || (s.cfg.AdaptEvery > 0 && time.Since(lastAdapt) >= s.cfg.AdaptEvery) {
 			lastAdapt = time.Now()
@@ -916,17 +948,6 @@ func (s *Server) backgroundLoop() {
 			// (the control plane owns that trace); no child here to avoid
 			// double-covering it.
 			s.adaptLocked()
-		}
-		pushes, frames = pushes[:0], frames[:0]
-		if s.cfg.EvalEvery > 0 && len(s.queryRegs) > 0 {
-			sp = root.Child("evaluate", "netsvc")
-			results := s.eng.Evaluate(now)
-			sp.Num("queries", float64(len(results))).End()
-			for qi, reg := range s.queryRegs {
-				start := len(frames)
-				frames, ids = appendResultFrame(frames, ids, reg.clientID, results[qi])
-				pushes = append(pushes, push{reg.owner, start, len(frames)})
-			}
 		}
 		// Conservation ledger + SLO burn windows, both on the coherent
 		// under-mutex view of this tick.
@@ -936,7 +957,7 @@ func (s *Server) backgroundLoop() {
 		root.End()
 		for _, p := range pushes {
 			if s.tel != nil {
-				s.tel.sentResult.Inc()
+				s.tel.sentResult.Add(int64(p.n))
 			}
 			p.sc.send(frames[p.start:p.end])
 		}
@@ -1076,24 +1097,4 @@ func (s *Server) Introspect() Introspection {
 		}
 	}
 	return in
-}
-
-// observeStatsLocked snapshots the motion table into the statistics grid.
-// The snapshot buffers are pooled on the server (neither engine retains
-// them past the call), so a steady-state tick allocates nothing here.
-func (s *Server) observeStatsLocked(now float64) {
-	table := s.eng.Table()
-	n := table.Len()
-	s.obsPos, s.obsSpd = s.obsPos[:0], s.obsSpd[:0]
-	for i := 0; i < n; i++ {
-		rep, ok := table.Report(i)
-		if !ok {
-			continue
-		}
-		s.obsPos = append(s.obsPos, s.cfg.Core.Space.ClampPoint(rep.Predict(now)))
-		s.obsSpd = append(s.obsSpd, rep.Vel.Len())
-	}
-	if len(s.obsPos) > 0 {
-		s.eng.ObserveStatistics(s.obsPos, s.obsSpd)
-	}
 }

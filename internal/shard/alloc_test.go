@@ -157,6 +157,46 @@ func TestAllocsEvaluate(t *testing.T) {
 	}
 }
 
+// EvaluateQuery — the registration path — walks the shared motion table
+// into the query's pooled result slot: nothing allocates once the slot
+// has grown.
+func TestAllocsEvaluateQuery(t *testing.T) {
+	pinSerial(t)
+	for _, k := range []int{1, 4} {
+		s, _ := allocSharded(t, k)
+		const now = 1.0
+		for qi := range s.Queries() {
+			s.EvaluateQuery(now, qi)
+		}
+		qi := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			s.EvaluateQuery(now, qi%len(s.Queries()))
+			qi++
+		})
+		if allocs != 0 {
+			t.Errorf("K=%d: EvaluateQuery allocates %.1f/op in steady state, want 0", k, allocs)
+		}
+	}
+}
+
+// ObserveSelf builds each shard's sample in that shard's pooled buffers:
+// nothing allocates once they have grown.
+func TestAllocsObserveSelf(t *testing.T) {
+	pinSerial(t)
+	for _, k := range []int{1, 4} {
+		s, _ := allocSharded(t, k)
+		now := 1.0
+		s.ObserveSelf(now) // grow the per-shard sample buffers
+		allocs := testing.AllocsPerRun(100, func() {
+			now += 0.001
+			s.ObserveSelf(now)
+		})
+		if allocs != 0 {
+			t.Errorf("K=%d: ObserveSelf allocates %.1f/op in steady state, want 0", k, allocs)
+		}
+	}
+}
+
 // Under continuous population drift the scan and merge phases stay
 // allocation-free; only index bucket growth and compaction trims (both
 // amortized structural costs) may allocate. This ceiling catches a

@@ -37,6 +37,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -104,7 +105,8 @@ type shardState struct {
 	// this round; migrations apply serially in shard order.
 	outbox []migration
 
-	// Observation-routing scratch, reused across rounds.
+	// The shard's observation sample (routed by ObserveStatistics or
+	// built by ObserveSelf), reused across rounds.
 	obsPos []geo.Point
 	obsSpd []float64
 }
@@ -150,15 +152,16 @@ type Server struct {
 
 	applied int64
 
-	// Hot-path state hoisted out of Evaluate/ObserveStatistics so the
-	// steady state performs zero allocations: the evaluation timestamp
-	// the phase workers read, the per-phase worker funcs bound once at
-	// construction (closure literals inside Evaluate would allocate every
-	// call), and the compaction tally phase 3 accumulates.
+	// Hot-path state hoisted out of Evaluate and the observation calls so
+	// the steady state performs zero allocations: the timestamp the phase
+	// and ObserveSelf workers read, the per-phase worker funcs bound once
+	// at construction (closure literals inside Evaluate would allocate
+	// every call), and the compaction tally phase 3 accumulates.
 	evalNow     float64
 	phase1Fn    func(shard, lo, hi int)
 	phase3Fn    func(shard, lo, hi int)
 	obsFn       func(shard, lo, hi int)
+	selfFn      func(shard, lo, hi int)
 	compactions atomic.Int64
 
 	// Admission-ladder seams: deferCompact suppresses phase 3's
@@ -281,6 +284,7 @@ func New(cfg Config) (*Server, error) {
 	s.phase1Fn = s.predictShard
 	s.phase3Fn = s.scanShard
 	s.obsFn = s.observeShard
+	s.selfFn = s.selfShard
 	return s, nil
 }
 
@@ -443,7 +447,27 @@ func (s *Server) ObserveStatistics(positions []geo.Point, speeds []float64) {
 		sh.obsPos = append(sh.obsPos, p)
 		sh.obsSpd = append(sh.obsSpd, speeds[i])
 	}
-	par.ForChunks(s.k, shardChunk, s.obsFn)
+	s.observeShards(s.obsFn)
+}
+
+// ObserveSelf folds the server's own beliefs at now into the per-shard
+// grids: every known node's clamped dead-reckoned position and reported
+// speed, as the sample an id-ordered ObserveStatistics round would route
+// (none while no record has been applied, i.e. no node is known). Each
+// shard builds its own sample in parallel from the motion table's
+// columns, so no snapshot is routed through one goroutine.
+func (s *Server) ObserveSelf(now float64) {
+	if s.applied == 0 {
+		return
+	}
+	s.evalNow = now
+	s.observeShards(s.selfFn)
+}
+
+// observeShards runs one observation worker per shard, then publishes
+// the grid gauges.
+func (s *Server) observeShards(fn func(shard, lo, hi int)) {
+	par.ForChunks(s.k, shardChunk, fn)
 	if s.tel != nil {
 		var totalN, totalM float64
 		for si, sh := range s.shards {
@@ -616,6 +640,35 @@ func (s *Server) scanShard(shard, _, _ int) {
 func (s *Server) observeShard(shard, _, _ int) {
 	sh := s.shards[shard]
 	sh.grid.Observe(sh.obsPos, sh.obsSpd)
+}
+
+// selfShard is ObserveSelf's worker for one shard: it walks the motion
+// table's columns in id order, keeps each known node whose clamped
+// prediction the shard owns — the order and values ObserveStatistics
+// would have routed to it — and folds that sample.
+func (s *Server) selfShard(shard, _, _ int) {
+	sh := s.shards[shard]
+	space := s.cfg.Core.Space
+	cols := s.table.Columns()
+	now := s.evalNow
+	sh.obsPos, sh.obsSpd = sh.obsPos[:0], sh.obsSpd[:0]
+	for id, ok := range cols.Known {
+		if !ok {
+			continue
+		}
+		if p := space.ClampPoint(cols.Predict(id, now)); s.geom.ShardFor(p) == shard {
+			sh.obsPos = append(sh.obsPos, p)
+			sh.obsSpd = append(sh.obsSpd, math.Hypot(cols.VX[id], cols.VY[id]))
+		}
+	}
+	sh.grid.Observe(sh.obsPos, sh.obsSpd)
+}
+
+// EvaluateQuery answers query qi alone at time now into its result slot
+// and returns that slot (see cqserver.EvaluateOne). Residency and the
+// per-shard indexes are left to the next Evaluate.
+func (s *Server) EvaluateQuery(now float64, qi int) []int {
+	return cqserver.EvaluateOne(s.table, s.cfg.Core.Space, s.queries, s.results, qi, now, s.degraded)
 }
 
 // SetDegradedEval switches Evaluate to prediction-only mode (see

@@ -2,15 +2,17 @@
 # Allocation gate: the ingest hot path's and the control plane's memory
 # model, enforced. Runs the testing.AllocsPerRun gates that pin
 # steady-state allocation counts — zero for IngestShedOldestColumns and its
-# scalar helper IngestShedOldest, Drain, and Apply; at most one per
-# Evaluate — on both the unsharded and the sharded engine, the wire layer's
+# scalar helper IngestShedOldest, Drain, Apply, EvaluateQuery (the
+# registration path) and ObserveSelf (the tick's statistics refresh); at
+# most one per Evaluate — on both the unsharded and the sharded engine
+# (TestAllocs* in each engine package), the wire layer's
 # zero-alloc batch decode, and GRIDREDUCE / GREEDYINCREMENT allocating only
 # the Partitioning and the Result they return.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "-- engine allocation gates (cqserver, shard) --"
+echo "-- engine allocation gates (cqserver, shard; EvaluateQuery and ObserveSelf included) --"
 go test -count 1 -run 'TestAllocs' ./internal/cqserver ./internal/shard
 
 echo "-- wire decode allocation gates --"

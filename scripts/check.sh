@@ -62,6 +62,19 @@ if [ "$(printf '%s\n' "$sites" | grep -c 'IngestShedOldestColumns(')" -ne 1 ] \
 fi
 echo "one admission site"
 
+# The netsvc tick evaluates once and refreshes the statistics grid from
+# that evaluation's predictions (Engine.ObserveSelf); a registration
+# answers its one query (Engine.EvaluateQuery). A second Evaluate call, or
+# a hand-built snapshot fed to ObserveStatistics, is that work done twice.
+sites="$(grep -rn --include='*.go' -e '\.Evaluate(' internal/netsvc | grep -v '_test\.go' || true)"
+dup="$(grep -rn --include='*.go' -e 'ObserveStatistics(' -e '\.Report(' internal/netsvc | grep -v '_test\.go' || true)"
+if [ "$(printf '%s\n' "$sites" | grep -c '\.Evaluate(')" -ne 1 ] || [ -n "$dup" ]; then
+	echo "internal/netsvc must hold exactly one .Evaluate( call and no ObserveStatistics( or .Report( call:" >&2
+	printf '%s\n%s\n' "$sites" "$dup" >&2
+	exit 1
+fi
+echo "one evaluation per tick"
+
 echo "== package docs (every package must carry a doc comment) =="
 missing="$(go list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./...)"
 if [ -n "$missing" ]; then
@@ -117,5 +130,11 @@ go run ./bench -smoke -workload ingest_ramp
 
 echo "== socket bench smoke (shed_adapt: control-plane path, region count, budget, design split) =="
 go run ./bench -smoke -workload shed_adapt
+
+echo "== socket bench smoke (resident_eval: K=1 evaluation path, oracle + registrar) =="
+go run ./bench -smoke -workload resident_eval
+
+echo "== socket bench smoke (query_churn: K=2 registration path, oracle + registrar) =="
+go run ./bench -smoke -workload query_churn
 
 echo "check: OK"
