@@ -108,7 +108,7 @@ func parseFlags() options {
 	flag.Float64Var(&o.side, "side", 14142, "space side length (meters)")
 	flag.Float64Var(&o.fairness, "fairness", 50, "fairness threshold Δ⇔ (meters)")
 	flag.IntVar(&o.queue, "queue", 0, "ingest queue capacity (0 = engine default)")
-	flag.IntVar(&o.drain, "drain", 0, "max updates drained per background tick (0 = unbounded)")
+	flag.IntVar(&o.drain, "drain", 0, "emulated service rate: max updates applied per background tick, with no drains between ticks (0 = serve the queue continuously)")
 	flag.DurationVar(&o.adapt, "adapt", 30*time.Second, "adaptation period")
 	flag.DurationVar(&o.eval, "eval", 2*time.Second, "query evaluation period")
 	flag.Float64Var(&o.stations, "station-radius", 0, "uniform station radius; 0 = one station")

@@ -11,10 +11,12 @@
 // evaluating queries, refreshing statistics from the same predictions,
 // re-running the adaptation — happens on one background loop under the
 // server mutex, and each connection's result frames leave in one Write
-// per tick. A registration answers its one query (Engine.EvaluateQuery),
-// not the whole set. Connection goroutines funnel decoded messages,
-// position updates included, through the same mutex: the engine is
-// single-caller.
+// per tick. Between ticks a drainer goroutine serves the input queue
+// whenever it fills to a quarter of its bound, so the service rate μ is
+// what the CPU can apply, not the queue bound per tick. A registration
+// answers its one query (Engine.EvaluateQuery), not the whole set.
+// Connection goroutines funnel decoded messages, position updates
+// included, through the same mutex: the engine is single-caller.
 //
 // A report reaches the engine one way: an UpdateBatch frame decoded into
 // connection-owned columns, range-checked, and admitted by a single
@@ -75,6 +77,14 @@ var wallBaseUnix = float64(wallBase.UnixNano()) / 1e9
 // precision, advanced monotonically from a fixed origin.
 func WallClock() float64 { return wallBaseUnix + time.Since(wallBase).Seconds() }
 
+// drainWatermarkDiv places the off-tick drain watermark at B/4 queued
+// records, B the input-queue bound: a connection whose batch leaves the
+// queue at or above it wakes the drainer. B/4 sits below the admission
+// ladder's lowest default queue rung (0.50), so a drainer that keeps up
+// keeps the ladder healthy; at B/2 a drainer woken later let the ramp
+// shed at its 800 k step.
+const drainWatermarkDiv = 4
+
 // defaultReadTimeout is the server's per-connection silence bound. It is
 // deliberately several multiples of the clients' default heartbeat
 // cadence, so only a genuinely dead link trips it.
@@ -101,8 +111,11 @@ type ServerConfig struct {
 	// EvalEvery is the continual-query evaluation period; zero disables
 	// pushes (queries are still answered once at registration).
 	EvalEvery time.Duration
-	// DrainPerTick bounds queue draining per background tick; zero means
-	// drain fully.
+	// DrainPerTick, when positive, is an emulated service rate: the
+	// background tick applies at most this many queued records, and the
+	// queue is never drained between ticks. Zero serves the queue
+	// continuously — the tick drains it fully, and between ticks the
+	// drainer empties it whenever it holds B/4 records.
 	DrainPerTick int
 	// ReadTimeout is the per-connection read deadline: a connection
 	// silent for this long is dropped (clients heartbeat at a faster
@@ -158,6 +171,13 @@ type Server struct {
 	// and the adaptation; Observe runs on the background tick.
 	adm *admission.Controller
 
+	// wake is the drainer's 1-slot doorbell, rung without blocking by a
+	// connection whose batch left at least watermark records queued.
+	// watermark is zero when DrainPerTick emulates a service rate: then no
+	// drainer runs and the queue is served on the tick only.
+	wake      chan struct{}
+	watermark int
+
 	// offered/invalid feed the record-conservation ledger (ledger.go):
 	// offered counts every update record entering ingestBatch, invalid
 	// counts the out-of-range ids discarded at the trust boundary. Always
@@ -212,6 +232,9 @@ type netTelemetry struct {
 	// evalSeconds is the engines' Evaluate-latency histogram (shared by
 	// registry name); the admission sampler reads its p99 in-process.
 	evalSeconds *telemetry.Histogram // lira_evaluate_seconds
+
+	ticks         *telemetry.Counter // lira_ticks_total
+	offtickDrains *telemetry.Counter // lira_queue_offtick_drains_total
 }
 
 func newNetTelemetry(hub *telemetry.Hub) *netTelemetry {
@@ -234,6 +257,8 @@ func newNetTelemetry(hub *telemetry.Hub) *netTelemetry {
 		decodeSeconds:  r.Histogram("lira_batch_decode_seconds", nil),
 		gcPause:        r.Gauge("lira_gc_pause_seconds"),
 		evalSeconds:    r.Histogram("lira_evaluate_seconds", nil),
+		ticks:          r.Counter("lira_ticks_total"),
+		offtickDrains:  r.Counter("lira_queue_offtick_drains_total"),
 	}
 }
 
@@ -302,6 +327,24 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 // Serve starts a server on an existing listener. Chaos tests use it to
 // interpose a fault-injecting listener; Listen is the plain-TCP wrapper.
 func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
+	s, err := newServer(ln, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.wg.Add(2)
+	go s.acceptLoop()
+	go s.backgroundLoop()
+	if s.watermark > 0 {
+		s.wg.Add(1)
+		go s.drainLoop()
+	}
+	return s, nil
+}
+
+// newServer builds a server and runs its first adaptation without
+// starting a goroutine: Serve starts the accept, tick and drain loops,
+// and tests drive the pieces by hand.
+func newServer(ln net.Listener, cfg ServerConfig) (*Server, error) {
 	if cfg.Z <= 0 || cfg.Z > 1 {
 		cfg.Z = 1
 	}
@@ -342,7 +385,11 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 		eng:         eng,
 		nodeConns:   make(map[uint32]*srvConn),
 		nodeStation: make(map[uint32]int),
+		wake:        make(chan struct{}, 1),
 		done:        make(chan struct{}),
+	}
+	if cfg.DrainPerTick <= 0 {
+		s.watermark = max(1, eng.QueueCap()/drainWatermarkDiv)
 	}
 	if cfg.Admission != nil {
 		ac := *cfg.Admission
@@ -379,9 +426,6 @@ func Serve(ln net.Listener, cfg ServerConfig) (*Server, error) {
 	if err := s.adaptLocked(); err != nil {
 		return nil, err
 	}
-	s.wg.Add(2)
-	go s.acceptLoop()
-	go s.backgroundLoop()
 	return s, nil
 }
 
@@ -423,8 +467,8 @@ func (s *Server) Close() error {
 		c.c.Close()
 	}
 	s.wg.Wait()
-	// All connection goroutines and the background loop are gone: drain
-	// whatever the input queue still holds.
+	// All connection goroutines, the background loop and the drainer are
+	// gone: drain whatever the input queue still holds.
 	s.eng.Drain(-1)
 	return err
 }
@@ -465,17 +509,32 @@ func (s *Server) adaptLocked() error {
 	for i, a := range deploy.Assignments {
 		s.frames[i] = assignmentFrame(uint32(i), a)
 	}
-	// Rebroadcast to camped nodes.
+	// Rebroadcast to camped nodes, once per (connection, station): a
+	// connection hosting several nodes on one station hears its frame once.
+	sent := make(map[connStation]bool)
 	for id, st := range s.nodeStation {
-		if conn, ok := s.nodeConns[id]; ok && st >= 0 && st < len(s.frames) {
-			frame := s.frames[st]
-			if s.tel != nil {
-				s.tel.sentAssignment.Inc()
-			}
-			go conn.send(frame) // off the lock; per-conn mutex serializes
+		conn, ok := s.nodeConns[id]
+		if !ok || st < 0 || st >= len(s.frames) {
+			continue
 		}
+		to := connStation{conn, st}
+		if sent[to] {
+			continue
+		}
+		sent[to] = true
+		if s.tel != nil {
+			s.tel.sentAssignment.Inc()
+		}
+		go conn.send(s.frames[st]) // off the lock; per-conn mutex serializes
 	}
 	return nil
+}
+
+// connStation is one rebroadcast destination: a connection and a station
+// some node on it is camped on.
+type connStation struct {
+	conn *srvConn
+	st   int
 }
 
 func assignmentFrame(station uint32, a *basestation.Assignment) []byte {
@@ -572,7 +631,9 @@ func (s *Server) handleConn(sc *srvConn) {
 				s.tel.readBatch.Inc()
 				s.tel.batchSize.Observe(float64(batch.Len()))
 			}
-			s.ingestBatch(sc, &batch, root)
+			if s.ingestBatch(sc, &batch, root) {
+				s.wakeDrainer()
+			}
 			root.Num("records", float64(batch.Len())).End()
 		case wire.TypeQuery:
 			q, err := wire.DecodeQuery(payload)
@@ -705,8 +766,10 @@ func (s *Server) registerNode(sc *srvConn, h wire.Hello) bool {
 // how clients frame their updates. Admission and the hand-off checks for
 // all records share one mutex hold, and hand-off frames are collected
 // lazily: a batch from a camped, in-coverage node — the steady state —
-// allocates nothing here.
-func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
+// allocates nothing here. It reports whether the queue was left at or
+// above the drain watermark; the caller decides whether to wake the
+// drainer, so a direct call only admits.
+func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) (full bool) {
 	n := b.Len()
 	// Conservation ledger: every record of the batch is offered, whatever
 	// its fate (pre-shed, invalid id, queue shed, applied, queued).
@@ -722,7 +785,7 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 		admit := s.adm.AdmitN(n)
 		sp.Num("offered", float64(n)).Num("admitted", float64(admit)).End()
 		if admit == 0 {
-			return
+			return false
 		}
 		off = n - admit
 	}
@@ -760,6 +823,7 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 			handoffs = append(handoffs, frame)
 		}
 	}
+	full = s.watermark > 0 && s.eng.QueueLen() >= s.watermark
 	s.mu.Unlock()
 	if invalid > 0 {
 		s.invalid.Add(int64(invalid))
@@ -773,6 +837,47 @@ func (s *Server) ingestBatch(sc *srvConn, b *wire.UpdateBatch, root spans.Ctx) {
 		}
 		sc.send(frame)
 	}
+	return full
+}
+
+// wakeDrainer rings the drainer's doorbell without blocking: a wake-up
+// already pending covers this one too.
+func (s *Server) wakeDrainer() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drainLoop is the queue's server between ticks: each wake-up applies
+// everything queued, so the service rate is what the CPU can drain rather
+// than B per tick. The tick still drains whatever is left before it
+// evaluates, and a drainer that falls behind lets the queue shed
+// oldest-first.
+func (s *Server) drainLoop() {
+	defer s.wg.Done()
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("lira_phase", "drain")))
+	for {
+		select {
+		case <-s.done:
+			return
+		case <-s.wake:
+			s.drainOffTick()
+		}
+	}
+}
+
+// drainOffTick is one drainer pass: apply the whole queue under s.mu and
+// count it on lira_queue_offtick_drains_total.
+func (s *Server) drainOffTick() int {
+	s.mu.Lock()
+	n := s.eng.Drain(-1)
+	s.mu.Unlock()
+	if s.tel != nil {
+		s.tel.offtickDrains.Inc()
+	}
+	return n
 }
 
 // handoffLocked checks whether a node's report moved it outside its
@@ -878,6 +983,9 @@ func (s *Server) backgroundLoop() {
 		case <-s.done:
 			return
 		case <-ticker.C:
+		}
+		if s.tel != nil {
+			s.tel.ticks.Inc()
 		}
 		// GC-pause visibility: surface the most recent stop-the-world pause
 		// on /metrics so a saturation run can correlate latency spikes with

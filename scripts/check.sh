@@ -104,6 +104,9 @@ done
 echo "== chaos (race-enabled fault-injection suite) =="
 go test -race -count 1 -run 'Chaos|LossDegrades|Reconnect|ClientErr|Overflow|DrainPerTick' ./internal/netsvc
 
+echo "== drainer (race-enabled off-tick service path, 3 runs) =="
+go test -race -count 3 -run 'Drainer|DrainPerTick|TestMixedBatchMatchesPerRecordReference|AdaptSendsOnce' ./internal/netsvc
+
 echo "== bench smoke (Fig04, 1 iteration) =="
 go test -run '^$' -bench Fig04 -benchtime 1x .
 
